@@ -33,8 +33,7 @@ print("\nreplaying the substitution argument:")
 trace = fallacy_trace(s)
 for step in trace.steps:
     verdict = "ok" if step.legitimate else "INVALID"
-    status = step.check.status if step.check else "-"
-    print(f"  [{verdict:7}] {step.description}  ({status})")
+    print(f"  [{verdict:7}] {step.description}  ({step.check.status})")
 print(f"clashes with the verified identity: {trace.clash_with}")
 
 # The resolution keeps the noncommuting factors explicit; both sector

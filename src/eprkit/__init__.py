@@ -36,7 +36,6 @@ from .exprparse import (
     RangeError,
     parse_expr,
     to_element,
-    to_text,
 )
 from .matrices import (
     DimensionMismatchError,
@@ -104,7 +103,6 @@ __all__ = [
     "parse_expr",
     "run_full_report",
     "to_element",
-    "to_text",
     "verify_combined_elements",
     "verify_constraint_family",
     "verify_derived_identities",

@@ -1,9 +1,16 @@
 """The singlet identity suite end to end.
 
-Every claim is run through two independent routes: the exact symbolic layer
-(Gaussian-rational coefficients, decided by literal equality) and the dense
-matrix representation (numpy products, compared at a fixed tolerance).  Each
-check carries an explicit kind, ``strict`` for equalities of elements and
+Every claim is one row of the table :data:`CLAIMS`: a name, a paper
+reference, a kind, the expected verdict, and the two sides as text in the
+expression grammar of :mod:`eprkit.exprparse`.  To add a claim, add a row.
+Each side is parsed once and evaluated by two interpreters: the exact
+symbolic layer (:func:`~eprkit.exprparse.to_element`, Gaussian-rational
+coefficients, decided by literal equality) and numpy
+(:func:`~eprkit.matrices.expr_matrix`, products of letter matrices, compared
+at a fixed tolerance), which shares the tree walk with the first but none of
+its arithmetic.  Only ``trace_normalized(-psi) = 1/4`` is outside the
+grammar and checked by hand.  Each check
+carries an explicit kind, ``strict`` for equalities of elements and
 ``mod-psi`` for equalities that hold only after right-multiplication by psi;
 the fallacy trace exists precisely because conflating the two kinds silently
 turns a true singlet-sector statement into a false strict one.
@@ -19,16 +26,21 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .element import E, Element, PHASES, Scalar
-from .matrices import approx_equal, element_matrix, word_matrix
+from .element import E, Element, Scalar
+from .exprparse import parse_expr, to_element
+from .matrices import TOLERANCE, approx_equal, expr_matrix, word_matrix
 from .pauli import PauliWord, mul_words
 from .singlet import SingletState, build_singlet
-from .triples import build_incidence, diff_with_paper_list, enumerate_basic_triples
+from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_triples,
+                      nontrivial_words)
 
 __all__ = [
+    "CLAIMS",
+    "Claim",
     "ClassicalAssignment",
     "CONSTRAINT_NAMES",
     "EXPECTED_INCIDENCE_DEGREE",
@@ -57,7 +69,8 @@ __all__ = [
 EXPECTED_TRIPLE_COUNT = 20
 EXPECTED_INCIDENCE_DEGREE = 4
 
-_MINUS_I = PHASES[3]
+# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, as the numpy route builds it.
+_PSI = "1/8*(E11-1)*(E22-1)*(E33-1)"
 
 
 @dataclass
@@ -88,139 +101,171 @@ class IdentityCheck:
             "oracle_ok": self.oracle_ok,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdentityCheck":
-        return cls(name=d["name"], paper_ref=d["paper_ref"], kind=d["kind"],
-                   expected=d["expected"], status=d["status"],
-                   residual_terms=d["residual_terms"], oracle_ok=d["oracle_ok"])
 
+class Claim(NamedTuple):
+    """One row of the claim table: ``lhs = rhs`` in the expression grammar."""
+
+    name: str
+    paper_ref: str
+    kind: str              # "strict" or "mod-psi"
+    expected: str          # "verified" or "refuted"
+    lhs: str
+    rhs: str
+
+
+def _row(equation: str, ref: str, kind: str = "strict", expected: str = "verified",
+         name: str = "{}") -> Claim:
+    """The row for ``"lhs = rhs"``; ``name`` is a template for the equation."""
+    lhs, rhs = equation.split(" = ")
+    return Claim(name.format(equation), ref, kind, expected, lhs, rhs)
+
+
+# --- the claim table -----------------------------------------------------------
+
+_FALLACY_REF = "realist substitution argument"
+_RESOLUTION_REF = "permutation-aware resolution"
+_DEPENDENCE_REF = "functional dependence of the one-side words"
+
+# (description, legitimate, note, claim), replayed by fallacy_trace.
+_FALLACY_STEPS = (
+    ("decompose E12 into one-side words",
+     True, "plain product identity, valid everywhere",
+     _row("E12 = E10*E02", _FALLACY_REF, name="fallacy: {}")),
+    ("decompose E21 into one-side words",
+     True, "plain product identity, valid everywhere",
+     _row("E21 = E20*E01", _FALLACY_REF, name="fallacy: {}")),
+    ("substitute E10 -> -E01 as if strict",
+     False, "E01 + E10 is a nonzero element; the equality only holds against "
+            "psi, so using it inside a strict identity is the illegitimate move",
+     _row("E10 = -E01", _FALLACY_REF, expected="refuted",
+          name="fallacy: {} (strict substitution)")),
+    ("substitute E02 -> -E20 as if strict",
+     False, "E02 + E20 is a nonzero element; same illegitimate move on the "
+            "other axis",
+     _row("E02 = -E20", _FALLACY_REF, expected="refuted",
+          name="fallacy: {} (strict substitution)")),
+    ("recombine the substituted product",
+     True, "the recombination itself is sound: the signs cancel and E01*E20 "
+           "really is E21",
+     _row("E01*E20 = E21", _FALLACY_REF, name="fallacy: {}")),
+    ("conclude E12 = E21, read strictly",
+     False, "refuted: distinct words are never strictly equal",
+     _row("E12 = E21", _FALLACY_REF, expected="refuted", name="fallacy: {} (strict)")),
+    ("conclude E12 = E21, read on the singlet sector",
+     False, "refuted there too; the sector enforces the opposite sign",
+     _row("E12 = E21", _FALLACY_REF, "mod-psi", "refuted",
+          name="fallacy: {} (mod psi)")),
+)
+
+# Every claim of the suite, by stage.  trace_normalized(-psi) = 1/4 is the one
+# claim the grammar cannot state; see _trace_check.
+CLAIMS: dict[str, tuple[Claim, ...]] = {
+    "combined": tuple(
+        _row(equation, "pair correlators from one-side word products")
+        for k in (1, 2, 3)
+        for equation in (f"E{k}{k} = E0{k}*E{k}0", f"E{k}{k} = E{k}0*E0{k}")),
+    "construction": (
+        *(_row(equation, "singlet construction")
+          for k in (1, 2, 3)
+          for equation in (f"(E{k}{k}+1)*psi = 0", f"E{k}{k}*psi = -psi")),
+        _row("psi*psi = -psi", "singlet construction"),
+        _row("(-psi)*(-psi) = -psi", "singlet construction"),
+        _row(f"{_PSI} = 1/8*(E22-1)*(E11-1)*(E33-1)", "singlet construction",
+             name="psi1*psi2*psi3 = psi2*psi1*psi3"),
+        _row(f"{_PSI} = 1/8*(E33-1)*(E11-1)*(E22-1)", "singlet construction",
+             name="psi1*psi2*psi3 = psi3*psi1*psi2"),
+    ),
+    "constraints": tuple(
+        row for k in (1, 2, 3) for row in (
+            _row(f"E0{k}+E{k}0 = 0", "singlet anticorrelation constraint",
+                 "mod-psi", name=f"(E0{k}+E{k}0)*psi = 0"),
+            _row(f"E0{k}+E{k}0 = 0",
+                 "singlet anticorrelation constraint read strictly",
+                 expected="refuted", name="{} (strict)"))),
+    "product": (
+        _row("E01*E20 = -E10*E02", "opposite product values on the singlet",
+             "mod-psi", name="{} (mod psi)"),
+        _row("E01*E20 = -E10*E02", "opposite product values read strictly",
+             expected="refuted", name="{} (strict)"),
+    ),
+    # The last row is a deliberately false sector identity, a negative control.
+    "battery": tuple(
+        _row(equation, "singlet-sector identity battery", "mod-psi", expected,
+             name="{} (mod psi)")
+        for equation, expected in (
+            ("E01 = -E10", "verified"), ("E02 = -E20", "verified"),
+            ("E03 = -E30", "verified"), ("E01 = -i*E23", "verified"),
+            ("E02 = i*E13", "verified"), ("E03 = i*E21", "verified"),
+            ("E12 = -E21", "verified"), ("E23 = -E32", "verified"),
+            ("E13 = -E31", "verified"), ("E12 = E21", "refuted"))),
+    "family": tuple(
+        _row(f"{x.name}*(E{k}{k}+1)*psi = 0",
+             "constraint family generated by the correlator relations")
+        for x in nontrivial_words() for k in (1, 2, 3)),
+    "fallacy": tuple(claim for *_, claim in _FALLACY_STEPS),
+    "resolution": (
+        _row("E12 = -i*E13*E01", _RESOLUTION_REF),
+        _row("E21 = -i*E22*E03", _RESOLUTION_REF),
+        _row("E12 = -i*E10*E03*E01", _RESOLUTION_REF),
+        _row("E21 = -i*E20*E02*E03", _RESOLUTION_REF),
+        _row("E02 = -i*E03*E01", _DEPENDENCE_REF),
+        _row("E01 = -i*E02*E03", _DEPENDENCE_REF),
+        _row("E10*E03*E01 = E03*E10*E01", _RESOLUTION_REF),
+        _row("E20*E02*E03 = -E03*E02*E20", _RESOLUTION_REF),
+        _row("E12 = i*E03", _RESOLUTION_REF, "mod-psi", name="{} (mod psi)"),
+        _row("E21 = -i*E03", _RESOLUTION_REF, "mod-psi", name="{} (mod psi)"),
+        _row("E12 = -E21", _RESOLUTION_REF, "mod-psi",
+             name="{} (mod psi, resolved)"),
+    ),
+}
+
+
+# --- the two interpreters --------------------------------------------------------
 
 def _numeric_psi_matrix() -> np.ndarray:
-    """psi built purely from word matrices, independent of the symbolic layer."""
-    eye = np.eye(4, dtype=complex)
-    m = eye
-    for k in (1, 2, 3):
-        m = m @ ((word_matrix(PauliWord((k, k))) - eye) / 2)
-    return m
+    """psi built by the numpy interpreter, independent of the symbolic layer."""
+    return expr_matrix(parse_expr(_PSI))
 
 
-def _prod_m(*elems: Element) -> np.ndarray:
-    """Numeric product of element matrices, multiplied by numpy."""
-    out = element_matrix(elems[0])
-    for el in elems[1:]:
-        out = out @ element_matrix(el)
-    return out
-
-
-def _check(name: str, ref: str, kind: str, lhs: Element, rhs: Element, *,
-           psi: Element | None = None, psi_m: np.ndarray | None = None,
-           lhs_m: np.ndarray | None = None, rhs_m: np.ndarray | None = None,
-           expected: str = "verified") -> IdentityCheck:
-    if kind == "strict":
-        residual = lhs - rhs
-    elif kind == "mod-psi":
-        residual = (lhs - rhs) * psi
-    else:
-        raise ValueError(f"unknown check kind {kind!r}")
+def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck:
     status = "verified" if residual.is_zero else "refuted"
-    left = lhs_m if lhs_m is not None else element_matrix(lhs)
-    right = rhs_m if rhs_m is not None else element_matrix(rhs)
-    if kind == "mod-psi":
-        left = left @ psi_m
-        right = right @ psi_m
-    oracle_equal = approx_equal(left, right)
-    return IdentityCheck(name=name, paper_ref=ref, kind=kind, expected=expected,
-                         status=status, residual_terms=len(residual.terms),
+    return IdentityCheck(name=row.name, paper_ref=row.paper_ref, kind=row.kind,
+                         expected=row.expected, status=status,
+                         residual_terms=len(residual.terms),
                          oracle_ok=oracle_equal == (status == "verified"),
                          residual=residual)
 
 
-def verify_combined_elements() -> list[IdentityCheck]:
-    """Pair correlators as products of one-side words, both orders."""
-    ref = "pair correlators from one-side word products"
-    checks = []
-    for k in (1, 2, 3):
-        kk, left, right = E(k, k), E(0, k), E(k, 0)
-        checks.append(_check(f"E{k}{k} = E0{k}*E{k}0", ref, "strict",
-                             kk, left * right, rhs_m=_prod_m(left, right)))
-        checks.append(_check(f"E{k}{k} = E{k}0*E0{k}", ref, "strict",
-                             kk, right * left, rhs_m=_prod_m(right, left)))
-    return checks
+def _sides(row: Claim, psi: Element | None, psi_m: np.ndarray
+           ) -> tuple[Element, np.ndarray, np.ndarray]:
+    """Parse both sides once: the exact difference, and each side through numpy."""
+    lhs, rhs = parse_expr(row.lhs), parse_expr(row.rhs)
+    return (to_element(lhs, psi) - to_element(rhs, psi),
+            expr_matrix(lhs, psi_m), expr_matrix(rhs, psi_m))
 
 
-def verify_singlet_construction(s: SingletState) -> list[IdentityCheck]:
-    """The defining properties of psi and its projector."""
-    ref = "singlet construction"
-    psi_el = s.psi
-    m_psi = element_matrix(psi_el)
-    zero = Element.zero(2)
-    checks = []
-    for k in (1, 2, 3):
-        kk = E(k, k)
-        m_kk = element_matrix(kk)
-        checks.append(_check(f"(E{k}{k}+1)*psi = 0", ref, "strict",
-                             (kk + 1) * psi_el, zero,
-                             lhs_m=(m_kk + np.eye(4)) @ m_psi,
-                             rhs_m=np.zeros((4, 4), dtype=complex)))
-        checks.append(_check(f"E{k}{k}*psi = -psi", ref, "strict",
-                             kk * psi_el, -psi_el,
-                             lhs_m=m_kk @ m_psi, rhs_m=-m_psi))
-    checks.append(_check("psi*psi = -psi", ref, "strict",
-                         psi_el * psi_el, -psi_el,
-                         lhs_m=m_psi @ m_psi, rhs_m=-m_psi))
-    proj = s.projector
-    m_proj = element_matrix(proj)
-    checks.append(_check("(-psi)*(-psi) = -psi", ref, "strict",
-                         proj * proj, proj,
-                         lhs_m=m_proj @ m_proj, rhs_m=m_proj))
-    quarter = Element.scalar(Fraction(1, 4), 2)
-    checks.append(_check("trace_normalized(-psi) = 1/4", ref, "strict",
-                         Element.scalar(proj.trace_normalized(), 2), quarter,
-                         lhs_m=(np.trace(m_proj) / 4) * np.eye(4, dtype=complex),
-                         rhs_m=0.25 * np.eye(4, dtype=complex)))
-    f1, f2, f3 = [(E(k, k) - 1) / 2 for k in (1, 2, 3)]
-    base = f1 * f2 * f3
-    for label, prod in (("psi2*psi1*psi3", f2 * f1 * f3),
-                        ("psi3*psi1*psi2", f3 * f1 * f2)):
-        checks.append(_check(f"psi1*psi2*psi3 = {label}", ref, "strict",
-                             base, prod,
-                             lhs_m=_prod_m(f1, f2, f3),
-                             rhs_m=_prod_m(*((f2, f1, f3) if label.startswith("psi2")
-                                             else (f3, f1, f2)))))
-    return checks
+def _check(row: Claim, psi: Element | None, psi_m: np.ndarray) -> IdentityCheck:
+    residual, left, right = _sides(row, psi, psi_m)
+    if row.kind == "mod-psi":
+        residual = residual * psi
+        left, right = left @ psi_m, right @ psi_m
+    elif row.kind != "strict":
+        raise ValueError(f"unknown check kind {row.kind!r}")
+    return _outcome(row, residual, approx_equal(left, right))
 
 
-def verify_singlet_constraints(s: SingletState) -> list[IdentityCheck]:
-    """Opposite one-side values on the singlet, and their strict refutations."""
+def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
     psi_m = _numeric_psi_matrix()
-    zero = Element.zero(2)
-    checks = []
-    for k in (1, 2, 3):
-        total = E(0, k) + E(k, 0)
-        checks.append(_check(f"(E0{k}+E{k}0)*psi = 0",
-                             "singlet anticorrelation constraint", "mod-psi",
-                             total, zero, psi=s.psi, psi_m=psi_m))
-        checks.append(_check(f"E0{k}+E{k}0 = 0 (strict)",
-                             "singlet anticorrelation constraint read strictly",
-                             "strict", total, zero, expected="refuted"))
-    return checks
+    return [_check(row, psi, psi_m) for row in CLAIMS[stage]]
 
 
-def verify_product_constraint(s: SingletState) -> list[IdentityCheck]:
-    """Opposite cross products on the singlet, and the strict refutation."""
-    psi_m = _numeric_psi_matrix()
-    lhs = E(0, 1) * E(2, 0)
-    rhs = -(E(1, 0) * E(0, 2))
-    lhs_m = _prod_m(E(0, 1), E(2, 0))
-    rhs_m = -_prod_m(E(1, 0), E(0, 2))
-    return [
-        _check("E01*E20 = -E10*E02 (mod psi)",
-               "opposite product values on the singlet", "mod-psi",
-               lhs, rhs, psi=s.psi, psi_m=psi_m, lhs_m=lhs_m, rhs_m=rhs_m),
-        _check("E01*E20 = -E10*E02 (strict)",
-               "opposite product values read strictly", "strict",
-               lhs, rhs, lhs_m=lhs_m, rhs_m=rhs_m, expected="refuted"),
-    ]
+def _trace_check(psi: Element) -> IdentityCheck:
+    """trace_normalized(-psi) = 1/4, the claim the grammar cannot state."""
+    row = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
+                "verified", "trace_normalized(-psi)", "1/4")
+    residual = Element.scalar((-psi).trace_normalized() - Fraction(1, 4), 2)
+    oracle_equal = float(abs(np.trace(-_numeric_psi_matrix()) / 4 - 0.25)) <= TOLERANCE
+    return _outcome(row, residual, oracle_equal)
 
 
 # --- exact left-ideal machinery for the closure re-derivation ---------------
@@ -269,17 +314,26 @@ def _constraint_ideal_basis(words: list[PauliWord]) -> list[tuple[int, list[Scal
     return basis
 
 
-_BATTERY = (
-    ("E01 = -E10", E(0, 1), -E(1, 0)),
-    ("E02 = -E20", E(0, 2), -E(2, 0)),
-    ("E03 = -E30", E(0, 3), -E(3, 0)),
-    ("E01 = -i*E23", E(0, 1), E(2, 3) * _MINUS_I),
-    ("E02 = i*E13", E(0, 2), E(1, 3) * PHASES[1]),
-    ("E03 = i*E21", E(0, 3), E(2, 1) * PHASES[1]),
-    ("E12 = -E21", E(1, 2), -E(2, 1)),
-    ("E23 = -E32", E(2, 3), -E(3, 2)),
-    ("E13 = -E31", E(1, 3), -E(3, 1)),
-)
+# --- the stages: views over the table -------------------------------------------
+
+def verify_combined_elements() -> list[IdentityCheck]:
+    """Pair correlators as products of one-side words, both orders."""
+    return _run("combined")
+
+
+def verify_singlet_construction(s: SingletState) -> list[IdentityCheck]:
+    """The defining properties of psi and its projector."""
+    return _run("construction", s.psi) + [_trace_check(s.psi)]
+
+
+def verify_singlet_constraints(s: SingletState) -> list[IdentityCheck]:
+    """Opposite one-side values on the singlet, and their strict refutations."""
+    return _run("constraints", s.psi)
+
+
+def verify_product_constraint(s: SingletState) -> list[IdentityCheck]:
+    """Opposite cross products on the singlet, and the strict refutation."""
+    return _run("product", s.psi)
 
 
 def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
@@ -289,50 +343,37 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     as an exact ideal-membership reduction (is the difference a combination
     of word * constraint products?).  The two routes agree because the left
     ideal generated by the constraints is the full left annihilator of psi,
-    but the second never multiplies by psi at all.  A deliberately false
-    sector identity rides along as a negative control.
+    but the second never multiplies by psi at all.
     """
     psi_m = _numeric_psi_matrix()
     words = _all_words()
     ideal = _constraint_ideal_basis(words)
-    ref = "singlet-sector identity battery"
-    closure_ref = "re-derivation from the defining constraints"
     checks = []
-    work = list(_BATTERY) + [("E12 = E21", E(1, 2), E(2, 1))]
-    for label, lhs, rhs in work:
-        expected = "refuted" if label == "E12 = E21" else "verified"
-        checks.append(_check(f"{label} (mod psi)", ref, "mod-psi",
-                             lhs, rhs, psi=s.psi, psi_m=psi_m, expected=expected))
-        remainder = _reduce_vector(ideal, _vector(lhs - rhs, words))
-        residual = Element(2, dict(zip(words, remainder)))
-        status = "verified" if residual.is_zero else "refuted"
-        oracle_equal = approx_equal(element_matrix(lhs) @ psi_m,
-                                    element_matrix(rhs) @ psi_m)
-        checks.append(IdentityCheck(
-            name=f"closure: {label}", paper_ref=closure_ref, kind="mod-psi",
-            expected=expected, status=status, residual_terms=len(residual.terms),
-            oracle_ok=oracle_equal == (status == "verified"), residual=residual))
+    for row in CLAIMS["battery"]:
+        diff, left, right = _sides(row, s.psi, psi_m)
+        oracle_equal = approx_equal(left @ psi_m, right @ psi_m)
+        checks.append(_outcome(row, diff * s.psi, oracle_equal))
+        remainder = _reduce_vector(ideal, _vector(diff, words))
+        closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
+                               paper_ref="re-derivation from the defining constraints")
+        checks.append(_outcome(closure, Element(2, dict(zip(words, remainder))),
+                               oracle_equal))
     return checks
 
 
 def verify_constraint_family(s: SingletState) -> list[IdentityCheck]:
     """X*(Ekk+1)*psi = 0 for every nontrivial word X and k = 1, 2, 3."""
-    psi_m = _numeric_psi_matrix()
-    ref = "constraint family generated by the correlator relations"
-    zero = Element.zero(2)
-    zero_m = np.zeros((4, 4), dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    checks = []
-    nontrivial = [w for w in _all_words() if not w.is_identity]
-    for x in nontrivial:
-        x_el = Element.from_word(x)
-        for k in (1, 2, 3):
-            kk = E(k, k)
-            lhs = x_el * (kk + 1) * s.psi
-            lhs_m = word_matrix(x) @ (element_matrix(kk) + eye) @ psi_m
-            checks.append(_check(f"{x.name}*(E{k}{k}+1)*psi = 0", ref, "strict",
-                                 lhs, zero, lhs_m=lhs_m, rhs_m=zero_m))
-    return checks
+    return _run("family", s.psi)
+
+
+def verify_resolution(s: SingletState) -> list[IdentityCheck]:
+    """The permutation-aware rewriting that dissolves the contradiction.
+
+    Strict identities express E12 and E21 through genuinely noncommuting
+    factors; pushing them onto the singlet sector then lands on opposite
+    multiples of E03, which restores E12 = -E21 instead of E12 = E21.
+    """
+    return _run("resolution", s.psi)
 
 
 # --- classical value assignments ---------------------------------------------
@@ -396,7 +437,7 @@ class FallacyStep:
     description: str
     legitimate: bool
     note: str
-    check: IdentityCheck | None = None
+    check: IdentityCheck
 
 
 @dataclass
@@ -417,107 +458,15 @@ class FallacyReport:
         return [s for s in self.steps if not s.legitimate]
 
     def checks(self) -> list[IdentityCheck]:
-        return [s.check for s in self.steps if s.check is not None]
+        return [s.check for s in self.steps]
 
 
 def fallacy_trace(s: SingletState) -> FallacyReport:
     """Replay the slide from sector equalities to the false E12 = E21."""
-    psi_m = _numeric_psi_matrix()
-    ref = "realist substitution argument"
-    steps = [
-        FallacyStep(
-            "decompose E12 into one-side words",
-            True, "plain product identity, valid everywhere",
-            _check("fallacy: E12 = E10*E02", ref, "strict",
-                   E(1, 2), E(1, 0) * E(0, 2),
-                   rhs_m=_prod_m(E(1, 0), E(0, 2)))),
-        FallacyStep(
-            "decompose E21 into one-side words",
-            True, "plain product identity, valid everywhere",
-            _check("fallacy: E21 = E20*E01", ref, "strict",
-                   E(2, 1), E(2, 0) * E(0, 1),
-                   rhs_m=_prod_m(E(2, 0), E(0, 1)))),
-        FallacyStep(
-            "substitute E10 -> -E01 as if strict",
-            False, "E01 + E10 is a nonzero element; the equality only holds "
-                   "against psi, so using it inside a strict identity is the "
-                   "illegitimate move",
-            _check("fallacy: E10 = -E01 (strict substitution)", ref, "strict",
-                   E(1, 0), -E(0, 1), expected="refuted")),
-        FallacyStep(
-            "substitute E02 -> -E20 as if strict",
-            False, "E02 + E20 is a nonzero element; same illegitimate move "
-                   "on the other axis",
-            _check("fallacy: E02 = -E20 (strict substitution)", ref, "strict",
-                   E(0, 2), -E(2, 0), expected="refuted")),
-        FallacyStep(
-            "recombine the substituted product",
-            True, "the recombination itself is sound: the signs cancel and "
-                  "E01*E20 really is E21",
-            _check("fallacy: E01*E20 = E21", ref, "strict",
-                   E(0, 1) * E(2, 0), E(2, 1),
-                   lhs_m=_prod_m(E(0, 1), E(2, 0)))),
-        FallacyStep(
-            "conclude E12 = E21, read strictly",
-            False, "refuted: distinct words are never strictly equal",
-            _check("fallacy: E12 = E21 (strict)", ref, "strict",
-                   E(1, 2), E(2, 1), expected="refuted")),
-        FallacyStep(
-            "conclude E12 = E21, read on the singlet sector",
-            False, "refuted there too; the sector enforces the opposite sign",
-            _check("fallacy: E12 = E21 (mod psi)", ref, "mod-psi",
-                   E(1, 2), E(2, 1), psi=s.psi, psi_m=psi_m,
-                   expected="refuted")),
-    ]
+    checks = _run("fallacy", s.psi)
+    steps = [FallacyStep(description, legitimate, note, check)
+             for (description, legitimate, note, _), check in zip(_FALLACY_STEPS, checks)]
     return FallacyReport(steps=steps, clash_with="E12 = -E21 (mod psi)")
-
-
-def verify_resolution(s: SingletState) -> list[IdentityCheck]:
-    """The permutation-aware rewriting that dissolves the contradiction.
-
-    Strict identities express E12 and E21 through genuinely noncommuting
-    factors; pushing them onto the singlet sector then lands on opposite
-    multiples of E03, which restores E12 = -E21 instead of E12 = E21.
-    """
-    psi_m = _numeric_psi_matrix()
-    ref = "permutation-aware resolution"
-    dep_ref = "functional dependence of the one-side words"
-    i = PHASES[1]
-    checks = [
-        _check("E12 = -i*E13*E01", ref, "strict",
-               E(1, 2), _MINUS_I * (E(1, 3) * E(0, 1)),
-               rhs_m=-1j * _prod_m(E(1, 3), E(0, 1))),
-        _check("E21 = -i*E22*E03", ref, "strict",
-               E(2, 1), _MINUS_I * (E(2, 2) * E(0, 3)),
-               rhs_m=-1j * _prod_m(E(2, 2), E(0, 3))),
-        _check("E12 = -i*E10*E03*E01", ref, "strict",
-               E(1, 2), _MINUS_I * (E(1, 0) * E(0, 3) * E(0, 1)),
-               rhs_m=-1j * _prod_m(E(1, 0), E(0, 3), E(0, 1))),
-        _check("E21 = -i*E20*E02*E03", ref, "strict",
-               E(2, 1), _MINUS_I * (E(2, 0) * E(0, 2) * E(0, 3)),
-               rhs_m=-1j * _prod_m(E(2, 0), E(0, 2), E(0, 3))),
-        _check("E02 = -i*E03*E01", dep_ref, "strict",
-               E(0, 2), _MINUS_I * (E(0, 3) * E(0, 1)),
-               rhs_m=-1j * _prod_m(E(0, 3), E(0, 1))),
-        _check("E01 = -i*E02*E03", dep_ref, "strict",
-               E(0, 1), _MINUS_I * (E(0, 2) * E(0, 3)),
-               rhs_m=-1j * _prod_m(E(0, 2), E(0, 3))),
-        _check("E10*E03*E01 = E03*E10*E01", ref, "strict",
-               E(1, 0) * E(0, 3) * E(0, 1), E(0, 3) * E(1, 0) * E(0, 1),
-               lhs_m=_prod_m(E(1, 0), E(0, 3), E(0, 1)),
-               rhs_m=_prod_m(E(0, 3), E(1, 0), E(0, 1))),
-        _check("E20*E02*E03 = -E03*E02*E20", ref, "strict",
-               E(2, 0) * E(0, 2) * E(0, 3), -(E(0, 3) * E(0, 2) * E(2, 0)),
-               lhs_m=_prod_m(E(2, 0), E(0, 2), E(0, 3)),
-               rhs_m=-_prod_m(E(0, 3), E(0, 2), E(2, 0))),
-        _check("E12 = i*E03 (mod psi)", ref, "mod-psi",
-               E(1, 2), i * E(0, 3), psi=s.psi, psi_m=psi_m),
-        _check("E21 = -i*E03 (mod psi)", ref, "mod-psi",
-               E(2, 1), _MINUS_I * E(0, 3), psi=s.psi, psi_m=psi_m),
-        _check("E12 = -E21 (mod psi, resolved)", ref, "mod-psi",
-               E(1, 2), -E(2, 1), psi=s.psi, psi_m=psi_m),
-    ]
-    return checks
 
 
 # --- report assembly ----------------------------------------------------------
@@ -550,18 +499,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(version=d["version"],
-                   checks=[IdentityCheck.from_dict(c) for c in d["checks"]],
-                   triples=d["triples"], peres=d["peres"],
-                   homomorphism=d["homomorphism"], notes=list(d["notes"]),
-                   overall=d["overall"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
 
     def to_markdown(self) -> str:
         lines = [

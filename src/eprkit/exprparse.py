@@ -16,11 +16,13 @@ Single-site and two-site symbols cannot be mixed in one expression.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, TypeVar, Union
 
-from .element import E, Element, IM, Scalar, e
+from .element import Element, IM, ONE, Scalar
+from .pauli import PauliWord
 
 __all__ = [
     "ArityConflictError",
@@ -31,10 +33,10 @@ __all__ = [
     "Neg",
     "RangeError",
     "Sym",
+    "evaluate",
     "infer_arity",
     "parse_expr",
     "to_element",
-    "to_text",
 ]
 
 
@@ -83,6 +85,7 @@ class BinOp:
 
 
 Expr = Union[Lit, Sym, Neg, BinOp]
+T = TypeVar("T")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -223,45 +226,6 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
-# --- printing -----------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2}
-
-
-def to_text(node: Expr) -> str:
-    """Render a tree with minimal parentheses.
-
-    For trees produced by :func:`parse_expr` the round trip
-    ``parse_expr(to_text(t)) == t`` holds exactly.
-    """
-    return _render(node, 0)
-
-
-def _render(node: Expr, parent_prec: int) -> str:
-    if isinstance(node, Lit):
-        text = str(node.value)
-        if any(c in text[1:] for c in "+-"):
-            return f"({text})"
-        return text
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Neg):
-        inner = node.arg
-        if isinstance(inner, (Lit, Sym)):
-            return "-" + _render(inner, 3)
-        return "-(" + _render(inner, 0) + ")"
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left = _render(node.left, prec - 1)
-        # right side binds tighter: the grammar is left-associative
-        right = _render(node.right, prec)
-        text = f"{left}{node.op}{right}"
-        if prec <= parent_prec:
-            return f"({text})"
-        return text
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # --- evaluation ---------------------------------------------------------------
 
 def infer_arity(node: Expr, default: int = 2) -> int:
@@ -287,28 +251,27 @@ def infer_arity(node: Expr, default: int = 2) -> int:
     return arities.pop() if arities else default
 
 
-def to_element(node: Expr, psi: Element | None = None,
-               default_arity: int = 2) -> Element:
-    """Evaluate a tree to a canonical element.
+def evaluate(node: Expr, scalar: Callable[[Scalar], T],
+             word: Callable[[tuple[int, ...]], T], psi: T | None = None,
+             mul: Callable[[T, T], T] = operator.mul) -> T:
+    """Fold a tree bottom-up in any algebra.
 
-    ``psi`` supplies the value of the ``psi`` symbol (callers may pass the
-    projector instead to reinterpret it).
+    ``scalar`` gives a literal its value (``I`` is the literal 1), ``word``
+    gives a symbol's letters theirs, and ``psi`` is the value of the ``psi``
+    symbol.  Negation, ``+`` and ``-`` are the values' own operators; ``mul``
+    multiplies.
     """
-    arity = infer_arity(node, default_arity)
-
-    def ev(n: Expr) -> Element:
+    def ev(n: Expr) -> T:
         if isinstance(n, Lit):
-            return Element.scalar(n.value, arity)
+            return scalar(n.value)
         if isinstance(n, Sym):
             if n.name == "I":
-                return Element.one(arity)
+                return scalar(ONE)
             if n.name == "psi":
                 if psi is None:
                     raise ExprError("psi is not available in this context")
                 return psi
-            if n.name[0] == "E":
-                return E(int(n.name[1]), int(n.name[2]))
-            return e(int(n.name[1]))
+            return word(tuple(int(d) for d in n.name[1:]))
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, BinOp):
@@ -317,7 +280,19 @@ def to_element(node: Expr, psi: Element | None = None,
                 return left + right
             if n.op == "-":
                 return left - right
-            return left * right
+            return mul(left, right)
         raise TypeError(f"not an expression node: {n!r}")
 
     return ev(node)
+
+
+def to_element(node: Expr, psi: Element | None = None,
+               default_arity: int = 2) -> Element:
+    """Evaluate a tree to a canonical element.
+
+    ``psi`` supplies the value of the ``psi`` symbol (callers may pass the
+    projector instead to reinterpret it).
+    """
+    arity = infer_arity(node, default_arity)
+    return evaluate(node, lambda value: Element.scalar(value, arity),
+                    lambda letters: Element.from_word(PauliWord(letters)), psi)

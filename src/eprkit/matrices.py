@@ -2,16 +2,19 @@
 
 The numerical cross-check for the exact layer: letters map to the standard
 2x2 spin matrices, words to Kronecker products (first site leftmost),
-elements to coefficient-weighted sums.  Everything here is built from the
-explicit matrices, never from the symbolic composition rules, so the two
-routes stay independent.
+elements to coefficient-weighted sums, and expression trees to numpy
+products.  Everything here is built from the explicit matrices, never from
+the symbolic composition rules, so the two routes stay independent.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .element import Element
+from .exprparse import Expr, evaluate, infer_arity
 from .pauli import PauliWord
 
 __all__ = [
@@ -20,6 +23,7 @@ __all__ = [
     "TOLERANCE",
     "approx_equal",
     "element_matrix",
+    "expr_matrix",
     "word_matrix",
 ]
 
@@ -55,6 +59,27 @@ def element_matrix(elem: Element) -> np.ndarray:
     for w, c in elem.terms.items():
         out += complex(c) * word_matrix(w)
     return out
+
+
+def expr_matrix(node: Expr, psi: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a parsed expression with numpy alone.
+
+    A literal is that multiple of the identity matrix, a symbol the Kronecker
+    product of its letters' matrices, and ``*`` the matrix product; ``psi``
+    supplies the value of the ``psi`` symbol.  No element arithmetic is
+    involved, so the result is an independent check on ``to_element``.
+    """
+    eye = np.eye(2 ** infer_arity(node), dtype=complex)
+    return evaluate(node, lambda value: complex(value) * eye, _symbol_matrix, psi,
+                    np.matmul)
+
+
+@cache
+def _symbol_matrix(letters: tuple[int, ...]) -> np.ndarray:
+    """word_matrix of a symbol's letters, built once per process and read-only."""
+    m = word_matrix(PauliWord(letters)).copy()
+    m.flags.writeable = False
+    return m
 
 
 def approx_equal(a: np.ndarray, b: np.ndarray, tol: float = TOLERANCE) -> bool:

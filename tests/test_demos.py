@@ -1,0 +1,21 @@
+"""Every demo script runs to completion in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_four_demos_are_found():
+    assert [p.name[:3] for p in DEMOS] == ["01_", "02_", "03_", "04_"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out
+    if path.name.startswith("04_"):
+        assert out.endswith("full verification: 108 checks, overall PASS\n")
