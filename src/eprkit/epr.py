@@ -15,6 +15,10 @@ carries an explicit kind, ``strict`` for equalities of elements and
 the fallacy trace exists precisely because conflating the two kinds silently
 turns a true singlet-sector statement into a false strict one.
 
+The ``closure:`` checks decide the battery without psi, by rewriting each
+difference with the singlet constraints at the right end of its words
+(``Eab = Ea0*E0b -> -Ea0*Eb0``) and asking whether anything is left.
+
 Checks that are *supposed* to fail (the fallacy's conclusion, the strict
 readings of sector-only constraints) are first-class: the suite asserts
 refutation, not merely absence of verification.
@@ -30,10 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .element import E, Element, Scalar
+from .element import E, Element, PHASES
 from .exprparse import parse_expr, to_element
 from .matrices import TOLERANCE, approx_equal, expr_matrix, word_matrix
-from .pauli import PauliWord, mul_words
+from .pauli import PauliWord, compose_letters, mul_words
 from .singlet import SingletState, build_singlet
 from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_triples,
                       nontrivial_words)
@@ -268,34 +272,7 @@ def _trace_check(psi: Element) -> IdentityCheck:
     return _outcome(row, residual, oracle_equal)
 
 
-# --- exact left-ideal machinery for the closure re-derivation ---------------
-
-def _all_words() -> list[PauliWord]:
-    return [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
-
-
-def _vector(el: Element, words: list[PauliWord]) -> list[Scalar]:
-    return [el.coefficient(w) for w in words]
-
-
-def _reduce_vector(basis: list[tuple[int, list[Scalar]]],
-                   vec: list[Scalar]) -> list[Scalar]:
-    vec = list(vec)
-    for pivot, row in basis:
-        c = vec[pivot]
-        if c:
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec
-
-
-def _insert_row(basis: list[tuple[int, list[Scalar]]], vec: list[Scalar]) -> None:
-    vec = _reduce_vector(basis, vec)
-    for idx, c in enumerate(vec):
-        if c:
-            basis.append((idx, [x / c for x in vec]))
-            basis.sort(key=lambda pr: pr[0])
-            return
-
+# --- the closure re-derivation: rewriting with the constraints ------------------
 
 def singlet_constraint_generators() -> list[Element]:
     """The six defining constraints: E0k + Ek0 and Ekk + 1."""
@@ -303,15 +280,22 @@ def singlet_constraint_generators() -> list[Element]:
            [E(k, k) + 1 for k in (1, 2, 3)]
 
 
-def _constraint_ideal_basis(words: list[PauliWord]) -> list[tuple[int, list[Scalar]]]:
-    """Row basis of the left ideal spanned by word * generator products."""
-    basis: list[tuple[int, list[Scalar]]] = []
-    gens = singlet_constraint_generators()
-    for w in words:
-        w_el = Element.from_word(w)
-        for g in gens:
-            _insert_row(basis, _vector(w_el * g, words))
-    return basis
+def _constraint_remainder(el: Element) -> Element:
+    """A two-site element modulo the left ideal of the singlet constraints.
+
+    ``Eab = Ea0*E0b`` and ``X*E0b = -X*Eb0`` modulo the ideal, so for b != 0
+    ``Eab`` reduces to ``-i**k * Ec0`` with ``(k, c) = compose_letters(a, b)``.
+    What is left is a combination of E00, E10, E20, E30, zero exactly on the
+    ideal.  ``Ekk + 1 = Ek0*(E0k + Ek0)`` needs no rule of its own.
+    """
+    rest = Element.zero(2)
+    for w, c in el.terms.items():
+        a, b = w.letters
+        if b:
+            k, a = compose_letters(a, b)
+            c = -c * PHASES[k]
+        rest += Element.from_word(PauliWord((a, 0)), c)
+    return rest
 
 
 # --- the stages: views over the table -------------------------------------------
@@ -340,24 +324,22 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     """The singlet-sector identity battery, each claim twice over.
 
     Once as a mod-psi check (does the difference annihilate psi?) and once
-    as an exact ideal-membership reduction (is the difference a combination
-    of word * constraint products?).  The two routes agree because the left
-    ideal generated by the constraints is the full left annihilator of psi,
-    but the second never multiplies by psi at all.
+    as a closure check: does rewriting with the constraints
+    (:func:`_constraint_remainder`) leave nothing?  The second never
+    multiplies by psi.  A test pins that the rewrite kills every word *
+    generator product and leaves a rank-4 remainder of the 16 words, so its
+    kernel is exactly the twelve-dimensional left ideal of the constraints,
+    which is the full left annihilator of psi; hence the two routes agree.
     """
     psi_m = _numeric_psi_matrix()
-    words = _all_words()
-    ideal = _constraint_ideal_basis(words)
     checks = []
     for row in CLAIMS["battery"]:
         diff, left, right = _sides(row, s.psi, psi_m)
         oracle_equal = approx_equal(left @ psi_m, right @ psi_m)
         checks.append(_outcome(row, diff * s.psi, oracle_equal))
-        remainder = _reduce_vector(ideal, _vector(diff, words))
         closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
                                paper_ref="re-derivation from the defining constraints")
-        checks.append(_outcome(closure, Element(2, dict(zip(words, remainder))),
-                               oracle_equal))
+        checks.append(_outcome(closure, _constraint_remainder(diff), oracle_equal))
     return checks
 
 
@@ -565,7 +547,7 @@ _REPORT_NOTES = [
 
 def _word_product_cross_check() -> dict:
     """Every two-site word product against the matrix route."""
-    words = _all_words()
+    words = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
     agree = 0
     mats = {w: word_matrix(w) for w in words}
     for a in words:
@@ -589,7 +571,7 @@ def run_full_report(s: SingletState | None = None,
         s = build_singlet()
     if fault == "corrupt-singlet":
         bad = s.psi + Element.from_word(PauliWord((1, 2)), Fraction(1, 2))
-        s = SingletState(psi=bad, projector=-bad)
+        s = SingletState(bad)
     elif fault is not None:
         raise ValueError(f"unknown fault {fault!r}")
 

@@ -101,9 +101,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit, which also accepts '²' and '٣'
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(("num", text[start:pos], start))
             continue

@@ -36,12 +36,15 @@ class DimensionMismatchError(ValueError):
     """Two matrices of different shape were compared."""
 
 
-LETTER_MATRICES = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_LETTERS = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
+_LETTERS.flags.writeable = False
+# Read-only views: word_matrix returns them themselves for one-site words.
+LETTER_MATRICES = tuple(_LETTERS)
 
 
 def word_matrix(word: PauliWord) -> np.ndarray:
@@ -77,7 +80,7 @@ def expr_matrix(node: Expr, psi: np.ndarray | None = None) -> np.ndarray:
 @cache
 def _symbol_matrix(letters: tuple[int, ...]) -> np.ndarray:
     """word_matrix of a symbol's letters, built once per process and read-only."""
-    m = word_matrix(PauliWord(letters)).copy()
+    m = word_matrix(PauliWord(letters))
     m.flags.writeable = False
     return m
 

@@ -33,9 +33,9 @@ _HALF = Scalar(Fraction(1, 2))
 class SingletState:
     """psi, its projector -psi, and a cache of exact mean values."""
 
-    def __init__(self, psi: Element, projector: Element):
+    def __init__(self, psi: Element):
         self.psi = psi
-        self.projector = projector
+        self.projector = -psi
         self._means: dict[Element, Scalar] = {}
 
     def equal_mod_psi(self, a: Element, b: Element) -> bool:
@@ -72,4 +72,4 @@ def build_singlet() -> SingletState:
     """Construct psi = psi1*psi2*psi3 from the factors psi_k = (E_kk - 1)/2."""
     f1, f2, f3 = ((E(k, k) - 1) / 2 for k in (1, 2, 3))
     psi = f1 * f2 * f3
-    return SingletState(psi=psi, projector=-psi)
+    return SingletState(psi)

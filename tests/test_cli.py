@@ -170,6 +170,12 @@ class TestErrorPaths:
         assert code == 2
         assert "ArityConflict" in err
 
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "2\u00b2")
+        assert code == 2 and out == ""
+        assert "SyntaxError" in err and "offset 1" in err
+        assert "internal error" not in err
+
 
 def test_module_entry_point_runs():
     result = subprocess.run(

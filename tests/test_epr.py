@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eprkit import element, epr, matrices, pauli
 from eprkit.element import E, Element
@@ -27,6 +28,8 @@ from eprkit.exprparse import parse_expr
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord
 from eprkit.singlet import SingletState
+
+from test_element import elements
 
 
 def by_name(checks):
@@ -114,17 +117,28 @@ class TestDerivedIdentities:
         assert control.status == "refuted" and control.ok
         assert control.residual_terms > 0
 
-    def test_constraint_ideal_has_dimension_twelve(self, all_words):
-        basis = epr._constraint_ideal_basis(all_words)
-        assert len(basis) == 12
-        # numpy rank of the same span as a cross-check
-        rows = []
-        for w in all_words:
-            w_el = Element.from_word(w)
-            for g in singlet_constraint_generators():
-                rows.append([complex((w_el * g).coefficient(v))
-                             for v in all_words])
+    def test_rewrite_decides_the_twelve_dimensional_constraint_ideal(self, all_words):
+        products = [Element.from_word(w) * g for w in all_words
+                    for g in singlet_constraint_generators()]
+        assert len(products) == 96
+        # Sound: the rewrite sends every word * generator product to zero.
+        for p in products:
+            assert epr._constraint_remainder(p).is_zero, p
+        # numpy rank of the products, independent of the rewrite
+        rows = [[complex(p.coefficient(v)) for v in all_words] for p in products]
         assert np.linalg.matrix_rank(np.array(rows)) == 12
+        # Complete: the 16 words leave a remainder of rank 4, so the rewrite's
+        # kernel has dimension 12 and is exactly the ideal.
+        remainders = [[complex(epr._constraint_remainder(Element.from_word(w))
+                               .coefficient(v)) for v in all_words]
+                      for w in all_words]
+        assert np.linalg.matrix_rank(np.array(remainders)) == 4
+
+    @given(elements, st.sampled_from(singlet_constraint_generators()))
+    def test_remainder_vanishes_exactly_on_the_annihilator_of_psi(self, singlet, a, g):
+        # a is rarely in the ideal and a*g always is
+        for el in (a, a * g):
+            assert epr._constraint_remainder(el).is_zero == (el * singlet.psi).is_zero
 
 
 class TestFallacyTrace:
@@ -256,7 +270,7 @@ class TestFullReport:
 
     def test_corrupted_singlet_state_fails(self, singlet):
         bad_psi = singlet.psi + E(1, 2) / 2
-        report = run_full_report(SingletState(psi=bad_psi, projector=-bad_psi))
+        report = run_full_report(SingletState(bad_psi))
         assert report.overall == "fail"
         assert report.failing_names()
 

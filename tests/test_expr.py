@@ -109,6 +109,15 @@ class TestParseErrors:
             parse_expr("E01 @ E02")
         assert info.value.offset == 4
 
+    @pytest.mark.parametrize("text, offset", [("2\u00b2", 1), ("E01*\u00b2", 4),
+                                              ("\u0663*E01", 0)])
+    def test_only_ascii_digits_are_numbers(self, text, offset):
+        # '\u00b2' (superscript two) and '\u0663' (Arabic-Indic three) pass
+        # str.isdigit but are not digits of the grammar.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.offset == offset
+
 
 class TestRoundTrip:
     """Parse, evaluate, print with ``Element.__str__``, re-parse: same element."""

@@ -8,6 +8,7 @@ import pytest
 from eprkit.element import E, Element, IM
 from eprkit.matrices import (
     DimensionMismatchError,
+    LETTER_MATRICES,
     TOLERANCE,
     approx_equal,
     element_matrix,
@@ -53,6 +54,12 @@ class TestWordMatrix:
     def test_single_site(self):
         assert np.array_equal(word_matrix(PauliWord((3,))),
                               np.diag([1, -1]).astype(complex))
+
+    def test_single_site_result_cannot_corrupt_the_letters(self):
+        m = word_matrix(PauliWord((1,)))
+        with pytest.raises(ValueError):
+            m[0, 0] = 5
+        assert np.array_equal(LETTER_MATRICES[1], [[0, 1], [1, 0]])
 
     def test_entries_are_clean(self, all_words):
         for w in all_words:
