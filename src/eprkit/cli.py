@@ -125,10 +125,7 @@ def _cmd_peres(_: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    tree = parse_expr(args.expr)
-    needs_psi = "psi" in args.expr
-    psi = build_singlet().psi if needs_psi else None
-    print(to_element(tree, psi=psi))
+    print(to_element(parse_expr(args.expr), psi=build_singlet().psi))
     return 0
 
 

@@ -110,7 +110,8 @@ class Scalar:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # Equal to the int or Fraction it equals when real, so it hashes alike.
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -286,6 +287,8 @@ class Element:
         return self == Element.scalar(s, self._arity)
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {PauliWord.identity(self._arity)}:
+            return hash(self.trace_normalized())  # equal to its scalar, so hash alike
         return hash((self._arity, tuple(self._terms.items())))
 
     def adjoint(self) -> "Element":

@@ -3,17 +3,17 @@
 Every claim is one row of the table :data:`CLAIMS`: a name, a paper
 reference, a kind, the expected verdict, and the two sides as text in the
 expression grammar of :mod:`eprkit.exprparse`.  To add a claim, add a row.
-Each side is parsed once and evaluated by two interpreters: the exact
-symbolic layer (:func:`~eprkit.exprparse.to_element`, Gaussian-rational
-coefficients, decided by literal equality) and numpy
-(:func:`~eprkit.matrices.expr_matrix`, products of letter matrices, compared
-at a fixed tolerance), which shares the tree walk with the first but none of
-its arithmetic.  Only ``trace_normalized(-psi) = 1/4`` is outside the
-grammar and checked by hand.  Each check
-carries an explicit kind, ``strict`` for equalities of elements and
-``mod-psi`` for equalities that hold only after right-multiplication by psi;
-the fallacy trace exists precisely because conflating the two kinds silently
-turns a true singlet-sector statement into a false strict one.
+Each check carries an explicit kind, ``strict`` for equalities of elements
+and ``mod-psi`` for equalities that hold only after right-multiplication by
+psi; the fallacy trace exists precisely because conflating the two kinds
+silently turns a true singlet-sector statement into a false strict one.
+:func:`_strict` alone turns a mod-psi claim into the strict claim
+``(lhs)*psi = (rhs)*psi`` on the parsed trees, which two interpreters
+evaluate: the exact symbolic layer (:func:`~eprkit.exprparse.to_element`,
+decided by literal equality) and numpy (:func:`~eprkit.matrices.expr_matrix`,
+with its own psi, compared at a fixed tolerance), which shares the tree walk
+with the first but none of its arithmetic.  Only
+``trace_normalized(-psi) = 1/4`` is outside the grammar and checked by hand.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
 difference with the singlet constraints at the right end of its words
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .element import E, Element, PHASES
-from .exprparse import parse_expr, to_element
+from .exprparse import BinOp, Expr, Sym, parse_expr, to_element
 from .matrices import TOLERANCE, approx_equal, expr_matrix, word_matrix
 from .pauli import PauliWord, compose_letters, mul_words
 from .singlet import SingletState, build_singlet
@@ -73,7 +73,7 @@ __all__ = [
 EXPECTED_TRIPLE_COUNT = 20
 EXPECTED_INCIDENCE_DEGREE = 4
 
-# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, as the numpy route builds it.
+# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, written out.
 _PSI = "1/8*(E11-1)*(E22-1)*(E33-1)"
 
 
@@ -226,11 +226,6 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
 
 # --- the two interpreters --------------------------------------------------------
 
-def _numeric_psi_matrix() -> np.ndarray:
-    """psi built by the numpy interpreter, independent of the symbolic layer."""
-    return expr_matrix(parse_expr(_PSI))
-
-
 def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck:
     status = "verified" if residual.is_zero else "refuted"
     return IdentityCheck(name=row.name, paper_ref=row.paper_ref, kind=row.kind,
@@ -240,27 +235,28 @@ def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck
                          residual=residual)
 
 
-def _sides(row: Claim, psi: Element | None, psi_m: np.ndarray
-           ) -> tuple[Element, np.ndarray, np.ndarray]:
-    """Parse both sides once: the exact difference, and each side through numpy."""
+def _strict(row: Claim) -> tuple[Expr, Expr]:
+    """The two trees whose strict equality decides ``row``.
+
+    A mod-psi claim ``lhs = rhs`` becomes ``(lhs)*psi = (rhs)*psi``.
+    """
     lhs, rhs = parse_expr(row.lhs), parse_expr(row.rhs)
-    return (to_element(lhs, psi) - to_element(rhs, psi),
-            expr_matrix(lhs, psi_m), expr_matrix(rhs, psi_m))
-
-
-def _check(row: Claim, psi: Element | None, psi_m: np.ndarray) -> IdentityCheck:
-    residual, left, right = _sides(row, psi, psi_m)
     if row.kind == "mod-psi":
-        residual = residual * psi
-        left, right = left @ psi_m, right @ psi_m
-    elif row.kind != "strict":
+        return BinOp("*", lhs, Sym("psi")), BinOp("*", rhs, Sym("psi"))
+    if row.kind != "strict":
         raise ValueError(f"unknown check kind {row.kind!r}")
-    return _outcome(row, residual, approx_equal(left, right))
+    return lhs, rhs
+
+
+def _decide(row: Claim, psi: Element | None) -> tuple[Element, bool]:
+    """The exact residual of ``row`` and whether the oracle finds it equal."""
+    lhs, rhs = _strict(row)
+    return (to_element(lhs, psi) - to_element(rhs, psi),
+            approx_equal(expr_matrix(lhs), expr_matrix(rhs)))
 
 
 def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
-    psi_m = _numeric_psi_matrix()
-    return [_check(row, psi, psi_m) for row in CLAIMS[stage]]
+    return [_outcome(row, *_decide(row, psi)) for row in CLAIMS[stage]]
 
 
 def _trace_check(psi: Element) -> IdentityCheck:
@@ -268,8 +264,8 @@ def _trace_check(psi: Element) -> IdentityCheck:
     row = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
                 "verified", "trace_normalized(-psi)", "1/4")
     residual = Element.scalar((-psi).trace_normalized() - Fraction(1, 4), 2)
-    oracle_equal = float(abs(np.trace(-_numeric_psi_matrix()) / 4 - 0.25)) <= TOLERANCE
-    return _outcome(row, residual, oracle_equal)
+    trace = np.trace(expr_matrix(parse_expr("-psi"))) / 4
+    return _outcome(row, residual, float(abs(trace - 0.25)) <= TOLERANCE)
 
 
 # --- the closure re-derivation: rewriting with the constraints ------------------
@@ -324,19 +320,19 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     """The singlet-sector identity battery, each claim twice over.
 
     Once as a mod-psi check (does the difference annihilate psi?) and once
-    as a closure check: does rewriting with the constraints
-    (:func:`_constraint_remainder`) leave nothing?  The second never
-    multiplies by psi.  A test pins that the rewrite kills every word *
-    generator product and leaves a rank-4 remainder of the 16 words, so its
-    kernel is exactly the twelve-dimensional left ideal of the constraints,
-    which is the full left annihilator of psi; hence the two routes agree.
+    as a closure check: does rewriting the plain difference with the
+    constraints (:func:`_constraint_remainder`) leave nothing?  The second
+    never multiplies by psi; its oracle is the first one's.  A test pins that
+    the rewrite kills every word * generator product and leaves a rank-4
+    remainder of the 16 words, so its kernel is exactly the twelve-dimensional
+    left ideal of the constraints, which is the full left annihilator of psi;
+    hence the two routes agree.
     """
-    psi_m = _numeric_psi_matrix()
     checks = []
     for row in CLAIMS["battery"]:
-        diff, left, right = _sides(row, s.psi, psi_m)
-        oracle_equal = approx_equal(left @ psi_m, right @ psi_m)
-        checks.append(_outcome(row, diff * s.psi, oracle_equal))
+        residual, oracle_equal = _decide(row, s.psi)
+        checks.append(_outcome(row, residual, oracle_equal))
+        diff = to_element(parse_expr(row.lhs)) - to_element(parse_expr(row.rhs))
         closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
                                paper_ref="re-derivation from the defining constraints")
         checks.append(_outcome(closure, _constraint_remainder(diff), oracle_equal))

@@ -171,7 +171,7 @@ class _Parser:
             return node
         if kind == "num":
             self.advance()
-            value = Fraction(int(text))
+            value = Fraction(_integer(text, offset))
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "/":
                 self.advance()
@@ -179,9 +179,10 @@ class _Parser:
                 if dk != "num":
                     raise ExprSyntaxError("expected a digit after '/'", doff)
                 self.advance()
-                if int(dt) == 0:
+                denominator = _integer(dt, doff)
+                if denominator == 0:
                     raise ExprSyntaxError("zero denominator", doff)
-                value /= int(dt)
+                value /= denominator
             return Lit(Scalar(value))
         if kind == "name":
             self.advance()
@@ -214,6 +215,15 @@ class _Parser:
                                  offset)
             return Sym(text)
         raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
+
+
+def _integer(digits: str, offset: int) -> int:
+    """The value of a digit run; int() refuses runs past the interpreter's limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ExprSyntaxError(f"numeric literal of {len(digits)} digits is too long",
+                              offset) from None
 
 
 def parse_expr(text: str) -> Expr:

@@ -4,7 +4,8 @@ The numerical cross-check for the exact layer: letters map to the standard
 2x2 spin matrices, words to Kronecker products (first site leftmost),
 elements to coefficient-weighted sums, and expression trees to numpy
 products.  Everything here is built from the explicit matrices, never from
-the symbolic composition rules, so the two routes stay independent.
+the symbolic composition rules, so the two routes stay independent; even
+``psi`` is this module's own product of letter matrices, taken from no caller.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ _LETTERS.flags.writeable = False
 # Read-only views: word_matrix returns them themselves for one-site words.
 LETTER_MATRICES = tuple(_LETTERS)
 
+# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, from the letter matrices alone.
+_PSI = np.linalg.multi_dot([(np.kron(m, m) - np.eye(4)) / 2 for m in LETTER_MATRICES[1:]])
+_PSI.flags.writeable = False
+
 
 def word_matrix(word: PauliWord) -> np.ndarray:
     """Kronecker product of the per-site base matrices."""
@@ -64,16 +69,17 @@ def element_matrix(elem: Element) -> np.ndarray:
     return out
 
 
-def expr_matrix(node: Expr, psi: np.ndarray | None = None) -> np.ndarray:
+def expr_matrix(node: Expr) -> np.ndarray:
     """Evaluate a parsed expression with numpy alone.
 
     A literal is that multiple of the identity matrix, a symbol the Kronecker
-    product of its letters' matrices, and ``*`` the matrix product; ``psi``
-    supplies the value of the ``psi`` symbol.  No element arithmetic is
-    involved, so the result is an independent check on ``to_element``.
+    product of its letters' matrices (``psi`` their read-only product
+    ``(E11-1)*(E22-1)*(E33-1)/8``), and ``*`` the matrix product.  No element
+    arithmetic is involved, so the result is an independent check on
+    ``to_element``.
     """
     eye = np.eye(2 ** infer_arity(node), dtype=complex)
-    return evaluate(node, lambda value: complex(value) * eye, _symbol_matrix, psi,
+    return evaluate(node, lambda value: complex(value) * eye, _symbol_matrix, _PSI,
                     np.matmul)
 
 

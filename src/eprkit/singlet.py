@@ -31,12 +31,11 @@ _HALF = Scalar(Fraction(1, 2))
 
 
 class SingletState:
-    """psi, its projector -psi, and a cache of exact mean values."""
+    """psi and its projector -psi."""
 
     def __init__(self, psi: Element):
         self.psi = psi
         self.projector = -psi
-        self._means: dict[Element, Scalar] = {}
 
     def equal_mod_psi(self, a: Element, b: Element) -> bool:
         """True when ``(a - b) * psi`` vanishes exactly."""
@@ -44,10 +43,8 @@ class SingletState:
 
     def expectation(self, a: Element) -> Scalar:
         """Exact mean value tr(P a) / tr(P) against the projector P = -psi."""
-        if a not in self._means:
-            num = (self.projector * a).trace_normalized()
-            self._means[a] = num / self.projector.trace_normalized()
-        return self._means[a]
+        num = (self.projector * a).trace_normalized()
+        return num / self.projector.trace_normalized()
 
     def outcome_probabilities(self, a: Element) -> tuple[Scalar, Scalar]:
         """Born pair ((1 + <a>)/2, (1 - <a>)/2); requires ``a*a = 1``."""

@@ -176,6 +176,12 @@ class TestErrorPaths:
         assert "SyntaxError" in err and "offset 1" in err
         assert "internal error" not in err
 
+    def test_overlong_literal_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "1" + "0" * 5000)
+        assert code == 2 and out == ""
+        assert "SyntaxError" in err and "offset 0" in err
+        assert "internal error" not in err
+
 
 def test_module_entry_point_runs():
     result = subprocess.run(

@@ -185,6 +185,17 @@ def test_adjoint_is_an_involution(a):
     assert a.adjoint().adjoint() == a
 
 
+@given(st.one_of(st.integers(-10, 10), st.fractions(max_denominator=6)),
+       st.one_of(st.just(0), st.fractions(max_denominator=6)), st.integers(1, 2))
+def test_equal_values_hash_alike(re, im, arity):
+    s = Scalar(re, im)
+    values = [re, Fraction(re), s, Element.scalar(s, arity), Element.scalar(re, arity),
+              Element.scalar(s, arity) + Element.from_word(PauliWord((1,) * arity))]
+    for a, b in itertools.product(values, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+
+
 @given(elements, elements)
 def test_matrix_route_is_a_homomorphism(a, b):
     assert approx_equal(element_matrix(a * b),

@@ -32,6 +32,12 @@ from eprkit.singlet import SingletState
 from test_element import elements
 
 
+# The battery equations the suite verifies mod psi; "E12 = E21" is refuted.
+VERIFIED_BATTERY = ("E01 = -E10", "E02 = -E20", "E03 = -E30", "E01 = -i*E23",
+                    "E02 = i*E13", "E03 = i*E21", "E12 = -E21", "E23 = -E32",
+                    "E13 = -E31")
+
+
 def by_name(checks):
     return {c.name: c for c in checks}
 
@@ -229,15 +235,12 @@ class TestFullReport:
     def test_injected_fault_fails_with_named_checks(self, singlet):
         report = run_full_report(fault="corrupt-singlet")
         assert report.overall == "fail"
-        battery = ("E01 = -E10", "E02 = -E20", "E03 = -E30", "E01 = -i*E23",
-                   "E02 = i*E13", "E03 = i*E21", "E12 = -E21", "E23 = -E32",
-                   "E13 = -E31")
         words = [f"E{a}{b}" for a, b in itertools.product(range(4), repeat=2)
                  if a or b]
         expected = {f"{x}*(E{k}{k}+1)*psi = 0" for x in words for k in (1, 2, 3)}
         expected |= {name for k in (1, 2, 3) for name in (
             f"(E{k}{k}+1)*psi = 0", f"E{k}{k}*psi = -psi", f"(E0{k}+E{k}0)*psi = 0")}
-        expected |= {f"{label} (mod psi)" for label in battery}
+        expected |= {f"{label} (mod psi)" for label in VERIFIED_BATTERY}
         expected |= {"psi*psi = -psi", "(-psi)*(-psi) = -psi",
                      "E01*E20 = -E10*E02 (mod psi)", "E12 = i*E03 (mod psi)",
                      "E21 = -i*E03 (mod psi)", "E12 = -E21 (mod psi, resolved)"}
@@ -248,6 +251,26 @@ class TestFullReport:
         # (psi*psi = -psi, Ekk*psi = -psi, ...) included.
         checks = by_name(report.checks)
         assert all(checks[name].oracle_ok is False for name in failing)
+
+    def test_mod_psi_read_as_strict_fails_every_verified_sector_claim(self, monkeypatch):
+        # Drop the right factor psi from the one rewrite: every verified mod-psi
+        # claim is then refuted by both routes, and every verified closure twin,
+        # whose oracle is that rewritten comparison, loses its oracle.
+        monkeypatch.setattr(epr, "_strict",
+                            lambda row: (parse_expr(row.lhs), parse_expr(row.rhs)))
+        report = run_full_report()
+        assert report.overall == "fail"
+        mod_psi = {f"{label} (mod psi)" for label in VERIFIED_BATTERY}
+        mod_psi |= {f"(E0{k}+E{k}0)*psi = 0" for k in (1, 2, 3)}
+        mod_psi |= {"E01*E20 = -E10*E02 (mod psi)", "E12 = i*E03 (mod psi)",
+                    "E21 = -i*E03 (mod psi)", "E12 = -E21 (mod psi, resolved)"}
+        closure = {f"closure: {label}" for label in VERIFIED_BATTERY}
+        failing = report.failing_names()
+        assert len(failing) == 25 and set(failing) == mod_psi | closure
+        checks = by_name(report.checks)
+        assert all(checks[n].status == "refuted" and checks[n].oracle_ok for n in mod_psi)
+        assert all(checks[n].status == "verified" and not checks[n].oracle_ok
+                   for n in closure)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
@@ -285,17 +308,16 @@ def test_numpy_route_uses_no_symbolic_arithmetic(monkeypatch):
     monkeypatch.setattr(pauli, "mul_words", refuse)
     monkeypatch.setattr(element, "mul_words", refuse)
     monkeypatch.setattr(matrices, "element_matrix", refuse)
-    psi_m = epr._numeric_psi_matrix()
     rows = [row for rows in epr.CLAIMS.values() for row in rows]
     assert len(rows) == 97  # the report adds the 10 closure checks and the trace
     for row in rows:
-        left = matrices.expr_matrix(parse_expr(row.lhs), psi_m)
-        right = matrices.expr_matrix(parse_expr(row.rhs), psi_m)
-        if row.kind == "mod-psi":
-            left, right = left @ psi_m, right @ psi_m
-        assert approx_equal(left, right) == (row.expected == "verified"), row.name
+        left, right = epr._strict(row)
+        assert (approx_equal(matrices.expr_matrix(left), matrices.expr_matrix(right))
+                == (row.expected == "verified")), row.name
 
 
 def test_numeric_psi_route_matches_symbolic_psi(singlet):
-    numeric = epr._numeric_psi_matrix()
-    assert np.max(np.abs(numeric - element_matrix(singlet.psi))) < 1e-12
+    numeric = matrices.expr_matrix(parse_expr("psi"))
+    assert approx_equal(numeric, element_matrix(singlet.psi))
+    with pytest.raises(ValueError):
+        numeric[0, 0] = 0

@@ -118,6 +118,14 @@ class TestParseErrors:
             parse_expr(text)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("text, offset", [("1" + "0" * 5000, 0),
+                                              ("1/" + "3" * 5000, 2)])
+    def test_literal_past_the_integer_string_limit(self, text, offset):
+        # int() refuses digit strings longer than 4300 digits by default.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.offset == offset
+
 
 class TestRoundTrip:
     """Parse, evaluate, print with ``Element.__str__``, re-parse: same element."""
