@@ -9,7 +9,18 @@ dense-matrix representation.  The :mod:`eprkit.cli` module wires it all into
 scriptable commands.
 """
 
-from .element import ArityMismatchError, E, Element, IM, ONE, PHASES, Scalar, ZERO, e
+from .element import (
+    ArityMismatchError,
+    E,
+    Element,
+    IM,
+    ONE,
+    PHASES,
+    PrintLimitError,
+    Scalar,
+    ZERO,
+    e,
+)
 from .epr import (
     ClassicalAssignment,
     FallacyReport,
@@ -79,6 +90,7 @@ __all__ = [
     "PAPER_BASIC_SETS",
     "PHASES",
     "PauliWord",
+    "PrintLimitError",
     "RangeError",
     "Scalar",
     "SingletState",

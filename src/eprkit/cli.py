@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .element import PrintLimitError
 from .epr import classical_assignment_search, constraint_flags, all_assignments, \
     run_full_report
 from .exprparse import ExprError, parse_expr, to_element
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         list(sys.argv[1:]) if argv is None else list(argv)))
     try:
         return _HANDLERS[args.command](args)
-    except ExprError as exc:
+    except (ExprError, PrintLimitError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - exit code 2 contract

@@ -1,17 +1,22 @@
 """Exact linear combinations of Pauli words over Gaussian rationals.
 
 Every identity the suite decides reduces to "is this element literally
-zero?", so coefficients are pairs of :class:`fractions.Fraction` values and
-no floating arithmetic ever enters this module.  Elements are kept in
-canonical form (zero terms pruned, words stored in lexicographic order),
-which makes equality plain structural equality.
+zero?", so no floating arithmetic ever enters this module.  An element
+stores Gaussian-integer numerators ``(re, im)`` per word over one positive
+denominator shared by all its terms, and is kept in canonical form (zero
+terms pruned, words in lexicographic order, a single gcd divided out of the
+denominator and every numerator), which makes equality plain structural
+equality.  :class:`Scalar`, a pair of :class:`fractions.Fraction` values, is
+the public single-value type: coefficients are built as scalars when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Union
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Union
 
 from .pauli import PauliWord, mul_words
 
@@ -22,6 +27,7 @@ __all__ = [
     "IM",
     "ONE",
     "PHASES",
+    "PrintLimitError",
     "Scalar",
     "ZERO",
     "e",
@@ -32,6 +38,22 @@ RationalLike = Union[int, Fraction, str]
 
 class ArityMismatchError(ValueError):
     """Two elements over different word lengths were combined."""
+
+
+class PrintLimitError(ValueError):
+    """A coefficient has more digits than the interpreter turns into text."""
+
+
+def _text(q: Fraction) -> str:
+    try:
+        return str(q)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        n = max(abs(q.numerator), q.denominator)
+        digits = max(1, int(n.bit_length() * 0.30102999566398120) - 1)
+        while 10 ** digits <= n:
+            digits += 1
+        raise PrintLimitError(
+            f"a coefficient of {digits} digits is too long to print") from None
 
 
 class Scalar:
@@ -128,17 +150,17 @@ class Scalar:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return str(self.re)
+            return _text(self.re)
         if self.im == 1:
             im = "i"
         elif self.im == -1:
             im = "-i"
         else:
-            im = f"{self.im}*i"
+            im = f"{_text(self.im)}*i"
         if self.re == 0:
             return im
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{im.lstrip('-')}"
+        return f"{_text(self.re)}{sign}{im.lstrip('-')}"
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
@@ -148,25 +170,28 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 IM = Scalar(0, 1)
 
-# i**k for k = 0..3; used to fold word-product phases into coefficients.
+# i**k for k = 0..3, as scalars.
 PHASES = (ONE, IM, Scalar(-1), Scalar(0, -1))
 
 
 class Element:
     """A finite linear combination of equal-length words in canonical form.
 
-    The term map never stores a zero coefficient and all words share one
-    arity, so two elements are equal exactly when their term maps are.
-    Arithmetic accepts plain ints and Fractions wherever a scalar makes
-    sense; a bare scalar stands for that multiple of the identity word.
+    Stored as Gaussian-integer numerators ``(re, im)`` per word over one
+    positive denominator shared by the whole element.  No stored pair is
+    ``(0, 0)``, words are kept in sorted order, and the denominator and all
+    numerators have no common factor, so two elements are equal exactly when
+    their arity, denominator and numerators are.  Arithmetic accepts plain
+    ints and Fractions wherever a scalar makes sense; a bare scalar stands
+    for that multiple of the identity word.
     """
 
-    __slots__ = ("_terms", "_arity")
+    __slots__ = ("_arity", "_den", "_num")
 
     def __init__(self, arity: int, terms: Mapping[PauliWord, object] | None = None):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        clean: dict[PauliWord, Scalar] = {}
+        parts: dict[PauliWord, tuple[int, int, int]] = {}
         for w, c in (terms or {}).items():
             if w.arity != arity:
                 raise ArityMismatchError(
@@ -174,10 +199,18 @@ class Element:
             s = Scalar._coerce(c)
             if s is None:
                 raise TypeError(f"coefficient {c!r} is not scalar-like")
-            if s:
-                clean[w] = s
+            parts[w] = _gaussian(s)
+        den = lcm(*(d for d, _, _ in parts.values()))
         self._arity = arity
-        self._terms = {w: clean[w] for w in sorted(clean)}
+        self._den, self._num = _canonical(
+            den, {w: (re * (den // d), im * (den // d)) for w, (d, re, im) in parts.items()})
+
+    @classmethod
+    def _new(cls, arity: int, den: int, num: dict[PauliWord, tuple[int, int]]) -> "Element":
+        """An element from parts already in canonical form."""
+        el = object.__new__(cls)
+        el._arity, el._den, el._num = arity, den, num
+        return el
 
     @classmethod
     def zero(cls, arity: int) -> "Element":
@@ -201,14 +234,14 @@ class Element:
 
     @property
     def terms(self) -> Mapping[PauliWord, Scalar]:
-        return MappingProxyType(self._terms)
+        return _Terms(self._den, self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def coefficient(self, word: PauliWord) -> Scalar:
-        return self._terms.get(word, ZERO)
+        return self.terms.get(word, ZERO)
 
     def _coerce_operand(self, other: object) -> "Element | None":
         if isinstance(other, Element):
@@ -225,10 +258,14 @@ class Element:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for w, c in o._terms.items():
-            acc[w] = acc.get(w, ZERO) + c
-        return Element(self._arity, acc)
+        g = gcd(self._den, o._den)
+        fa, fb = o._den // g, self._den // g  # bring both to the lcm
+        acc = {w: (re * fa, im * fa) for w, (re, im) in self._num.items()}
+        get = acc.get
+        for w, (re, im) in o._num.items():
+            old = get(w, (0, 0))
+            acc[w] = (old[0] + re * fb, old[1] + im * fb)
+        return Element._new(self._arity, *_canonical(self._den * fa, acc))
 
     __radd__ = __add__
 
@@ -245,23 +282,33 @@ class Element:
         return o - self
 
     def __neg__(self) -> "Element":
-        return Element(self._arity, {w: -c for w, c in self._terms.items()})
+        return Element._new(self._arity, self._den,
+                            {w: (-re, -im) for w, (re, im) in self._num.items()})
 
     def __mul__(self, other: object) -> "Element":
         if isinstance(other, Element):
             if other._arity != self._arity:
                 raise ArityMismatchError(
                     f"arities differ: {self._arity} vs {other._arity}")
-            acc: dict[PauliWord, Scalar] = {}
-            for wa, ca in self._terms.items():
-                for wb, cb in other._terms.items():
+            acc: dict[PauliWord, tuple[int, int]] = {}
+            get = acc.get
+            right = other._num.items()
+            for wa, (ar, ai) in self._num.items():
+                for wb, (br, bi) in right:
                     k, w = mul_words(wa, wb)
-                    acc[w] = acc.get(w, ZERO) + ca * cb * PHASES[k]
-            return Element(self._arity, acc)
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                    if k:  # times i**k
+                        re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+                    old = get(w)
+                    acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
+            return Element._new(self._arity, *_canonical(self._den * other._den, acc))
         s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
-        return Element(self._arity, {w: c * s for w, c in self._terms.items()})
+        d, p, q = _gaussian(s)
+        return Element._new(self._arity, *_canonical(
+            self._den * d,
+            {w: (re * p - im * q, re * q + im * p) for w, (re, im) in self._num.items()}))
 
     def __rmul__(self, other: object) -> "Element":
         # Scalars commute with everything, so this only handles scalar-likes.
@@ -276,35 +323,40 @@ class Element:
             return NotImplemented
         if not s:
             raise ZeroDivisionError("element division by zero scalar")
-        return Element(self._arity, {w: c / s for w, c in self._terms.items()})
+        # 1/s = d*(p - i*q)/(p*p + q*q) for s = (p + i*q)/d
+        d, p, q = _gaussian(s)
+        return Element._new(self._arity, *_canonical(
+            self._den * (p * p + q * q),
+            {w: (d * (re * p + im * q), d * (im * p - re * q))
+             for w, (re, im) in self._num.items()}))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Element):
-            return self._arity == other._arity and self._terms == other._terms
+            return (self._arity == other._arity and self._den == other._den
+                    and self._num == other._num)
         s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
         return self == Element.scalar(s, self._arity)
 
     def __hash__(self) -> int:
-        if self._terms.keys() <= {PauliWord.identity(self._arity)}:
+        if self._num.keys() <= {PauliWord.identity(self._arity)}:
             return hash(self.trace_normalized())  # equal to its scalar, so hash alike
-        return hash((self._arity, tuple(self._terms.items())))
+        return hash((self._arity, self._den, tuple(self._num.items())))
 
     def adjoint(self) -> "Element":
         """Hermitian conjugate: words are self-adjoint, coefficients conjugate."""
-        return Element(self._arity, {w: c.conjugate() for w, c in self._terms.items()})
+        return Element._new(self._arity, self._den,
+                            {w: (re, -im) for w, (re, im) in self._num.items()})
 
     def trace_normalized(self) -> Scalar:
         """Coefficient of the identity word, i.e. trace divided by 2**arity."""
         return self.coefficient(PauliWord.identity(self._arity))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
-        parts = []
-        for w, c in self._terms.items():
-            parts.append(_format_term(w, c))
+        parts = [_format_term(w, c) for w, c in self.terms.items()]
         text = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -315,6 +367,44 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
+
+
+def _gaussian(s: Scalar) -> tuple[int, int, int]:
+    """``(d, p, q)`` with ``s = (p + i*q)/d`` and ``d > 0``."""
+    d = lcm(s.re.denominator, s.im.denominator)
+    return d, s.re.numerator * (d // s.re.denominator), s.im.numerator * (d // s.im.denominator)
+
+
+_word = itemgetter(0)
+
+
+def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]
+               ) -> tuple[int, dict[PauliWord, tuple[int, int]]]:
+    """Zero pairs pruned, words sorted, and one gcd taken out of everything."""
+    num = {w: pair for w, pair in sorted(num.items(), key=_word) if pair != (0, 0)}
+    g = gcd(den, *(x for pair in num.values() for x in pair))
+    if g == 1:
+        return den, num
+    return den // g, {w: (re // g, im // g) for w, (re, im) in num.items()}
+
+
+class _Terms(Mapping):
+    """Read-only word -> Scalar view of an element; coefficients are built when read."""
+
+    __slots__ = ("_den", "_num")
+
+    def __init__(self, den: int, num: dict[PauliWord, tuple[int, int]]):
+        self._den, self._num = den, num
+
+    def __getitem__(self, word: PauliWord) -> Scalar:
+        re, im = self._num[word]
+        return Scalar(Fraction(re, self._den), Fraction(im, self._den))
+
+    def __iter__(self) -> Iterator[PauliWord]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
 
 
 def _format_term(word: PauliWord, coeff: Scalar) -> str:

@@ -182,6 +182,13 @@ class TestErrorPaths:
         assert "SyntaxError" in err and "offset 0" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "expect"])
+    def test_result_past_the_print_limit_names_its_digits(self, capsys, command):
+        big = "1" + "0" * 3000  # within the literal limit; its square is not
+        code, _, err = run_cli(capsys, command, f"{big}*{big}*E01")
+        assert code == 2
+        assert err == "PrintLimitError: a coefficient of 6001 digits is too long to print\n"
+
 
 def test_module_entry_point_runs():
     result = subprocess.run(

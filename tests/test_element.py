@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, e
+from eprkit.element import ArityMismatchError, E, Element, IM, ONE, PHASES, Scalar, ZERO, e
 from eprkit.matrices import approx_equal, element_matrix
-from eprkit.pauli import PauliWord, commute_sign
+from eprkit.pauli import PauliWord, commute_sign, mul_words
 
 
 class TestScalar:
@@ -200,3 +200,75 @@ def test_equal_values_hash_alike(re, im, arity):
 def test_matrix_route_is_a_homomorphism(a, b):
     assert approx_equal(element_matrix(a * b),
                         element_matrix(a) @ element_matrix(b))
+
+
+# --- reference implementation ---------------------------------------------
+# The readable definition: a coefficient per word as a Fraction-pair Scalar,
+# products as the double loop over terms with the word phase i**k.  Element
+# must agree with it term by term, order of words included.
+
+def _ref_canonical(acc):
+    return [(w, c) for w, c in sorted(acc.items()) if c]
+
+
+def ref_mul(a, b):
+    acc = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            k, w = mul_words(wa, wb)
+            acc[w] = acc.get(w, ZERO) + ca * cb * PHASES[k]
+    return _ref_canonical(acc)
+
+
+def ref_add(a, b, sign=1):
+    acc = dict(a)
+    for w, c in b.items():
+        acc[w] = acc.get(w, ZERO) + sign * c
+    return _ref_canonical(acc)
+
+
+def ref_map(a, f):
+    return _ref_canonical({w: f(c) for w, c in a.items()})
+
+
+# Denominators: every product of 2, 3, 5 and 7 up to 35.
+SMOOTH = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 25, 27, 28,
+          30, 32, 35]
+
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(SMOOTH))
+wide_scalars = st.builds(Scalar, wide_rationals, st.one_of(st.just(0), wide_rationals))
+wide_terms = st.dictionaries(st.sampled_from(WORDS2), wide_scalars, max_size=16)
+wide_elements = st.builds(lambda terms: Element(2, terms), wide_terms)
+
+
+def terms_of(el):
+    return list(el.terms.items())
+
+
+@given(wide_elements, wide_elements)
+def test_binary_operations_match_the_reference(a, b):
+    ta, tb = a.terms, b.terms
+    assert terms_of(a * b) == ref_mul(ta, tb)
+    assert terms_of(a + b) == ref_add(ta, tb)
+    assert terms_of(a - b) == ref_add(ta, tb, -1)
+
+
+@given(wide_elements, wide_scalars)
+def test_unary_and_scalar_operations_match_the_reference(a, s):
+    ta = a.terms
+    assert terms_of(-a) == ref_map(ta, lambda c: -c)
+    assert terms_of(a.adjoint()) == ref_map(ta, Scalar.conjugate)
+    assert terms_of(a * s) == terms_of(s * a) == ref_map(ta, lambda c: c * s)
+    if s:
+        assert terms_of(a / s) == ref_map(ta, lambda c: c / s)
+
+
+@given(wide_terms)
+def test_constructor_and_arithmetic_build_equal_elements(terms):
+    built = Element(2, terms)
+    summed = Element.zero(2)
+    for w, c in terms.items():
+        summed = summed + c * Element.from_word(w)
+    assert built == summed and hash(built) == hash(summed)
+    assert built.terms == {w: c for w, c in terms.items() if c}
+    assert built - summed == 0 and hash(built - summed) == hash(0)
