@@ -5,8 +5,6 @@ Run with:  python demos/01_pauli_words.py
 
 import itertools
 
-import numpy as np
-
 from eprkit import PauliWord, approx_equal, compose_letters, mul_words, word_matrix
 
 # Three letters that square to 1 and anticommute, with the orientation
@@ -34,9 +32,10 @@ words = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
 agree = 0
 for wa, wb in itertools.product(words, repeat=2):
     k, w = mul_words(wa, wb)
-    agree += approx_equal(word_matrix(wa) @ word_matrix(wb),
-                          (1j ** k) * word_matrix(w))
+    agree += approx_equal(word_matrix(wa) * word_matrix(wb), word_matrix(w).times_i(k))
 print(f"agreement: {agree}/256")
 
 print("\nthe E30 matrix (a diagonal sign pattern):")
-print(np.real_if_close(word_matrix(PauliWord((3, 0)))))
+m = word_matrix(PauliWord((3, 0)))
+for r in range(m.dim):
+    print("  " + " ".join(f"{str(m.entry(r, c)[0]):>2}" for c in range(m.dim)))

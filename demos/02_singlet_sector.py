@@ -3,8 +3,6 @@
 Run with:  python demos/02_singlet_sector.py
 """
 
-import numpy as np
-
 from eprkit import E, Element, build_singlet, element_matrix
 
 s = build_singlet()
@@ -18,9 +16,10 @@ print("projector =", s.projector, "   (this one is idempotent)")
 for k in (1, 2, 3):
     print(f"E{k}{k}*psi =", E(k, k) * s.psi)
 
-# Numerically, -psi is the rank-one projector onto the singlet direction.
-eigs = np.sort(np.linalg.eigvalsh(element_matrix(s.projector)))
-print("\neigenvalues of -psi:", np.round(eigs, 12))
+# As an exact matrix, -psi is the rank-one projector onto the singlet
+# direction: it squares to itself, and the trace of a projector is its rank.
+p = element_matrix(s.projector)
+print("\n-psi as a matrix: P*P == P is", p * p == p, "  trace(P) =", p.trace()[0])
 
 # Mod-psi equality: equal after right-multiplication by psi.  The one-side
 # words are anticorrelated on the sector but NOT equal as elements.

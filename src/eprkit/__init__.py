@@ -1,11 +1,11 @@
-"""Exact two-site Pauli algebra with a numerical cross-check.
+"""Exact two-site Pauli algebra with an exact matrix cross-check.
 
 The package builds the letter algebra (three anticommuting involutions with
 a fixed cyclic orientation), lifts it to words and to exact linear
 combinations over Gaussian rationals, constructs the singlet-sector element
 psi and its projector, enumerates the basic anticommuting triples, and runs
 a battery of strict and mod-psi identity checks against an independent
-dense-matrix representation.  The :mod:`eprkit.cli` module wires it all into
+exact matrix representation.  The :mod:`eprkit.cli` module wires it all into
 scriptable commands.
 """
 
@@ -50,7 +50,6 @@ from .exprparse import (
 )
 from .matrices import (
     DimensionMismatchError,
-    TOLERANCE,
     approx_equal,
     element_matrix,
     word_matrix,
@@ -94,7 +93,6 @@ __all__ = [
     "RangeError",
     "Scalar",
     "SingletState",
-    "TOLERANCE",
     "VerificationReport",
     "ZERO",
     "all_assignments",

@@ -355,7 +355,7 @@ class Element:
 
     def __str__(self) -> str:
         if not self._num:
-            return "0"
+            return "0*e0" if self._arity == 1 else "0"
         parts = [_format_term(w, c) for w, c in self.terms.items()]
         text = parts[0]
         for p in parts[1:]:
@@ -408,18 +408,23 @@ class _Terms(Mapping):
 
 
 def _format_term(word: PauliWord, coeff: Scalar) -> str:
-    """One term in the expression grammar, so printed elements re-parse."""
+    """One term in the expression grammar, so printed elements re-parse.
+
+    The identity term is a bare scalar, except at one site, where it names
+    ``e0`` so that the printed element keeps its arity.
+    """
     c = str(coeff)
     compound = coeff.re != 0 and coeff.im != 0
-    if word.is_identity:
+    if word.is_identity and word.arity != 1:
         return f"({c})" if compound else c
+    name = "e0" if word.is_identity else word.name
     if coeff == ONE:
-        return word.name
+        return name
     if coeff == -ONE:
-        return f"-{word.name}"
+        return f"-{name}"
     if compound:
-        return f"({c})*{word.name}"
-    return f"{c}*{word.name}"
+        return f"({c})*{name}"
+    return f"{c}*{name}"
 
 
 def E(i: int, j: int) -> Element:

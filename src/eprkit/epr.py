@@ -9,10 +9,10 @@ psi; the fallacy trace exists precisely because conflating the two kinds
 silently turns a true singlet-sector statement into a false strict one.
 :func:`_strict` alone turns a mod-psi claim into the strict claim
 ``(lhs)*psi = (rhs)*psi`` on the parsed trees, which two interpreters
-evaluate: the exact symbolic layer (:func:`~eprkit.exprparse.to_element`,
-decided by literal equality) and numpy (:func:`~eprkit.matrices.expr_matrix`,
-with its own psi, compared at a fixed tolerance), which shares the tree walk
-with the first but none of its arithmetic.  Only
+evaluate: the exact symbolic layer (:func:`~eprkit.exprparse.to_element`)
+and the exact matrix oracle (:func:`~eprkit.matrices.expr_matrix`, with its
+own psi), which shares the tree walk with the first but none of its
+arithmetic.  Both decide by literal equality.  Only
 ``trace_normalized(-psi) = 1/4`` is outside the grammar and checked by hand.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .element import E, Element, PHASES
 from .exprparse import BinOp, Expr, Sym, parse_expr, to_element
-from .matrices import TOLERANCE, approx_equal, expr_matrix, word_matrix
+from .matrices import approx_equal, expr_matrix, word_matrix
 from .pauli import PauliWord, compose_letters, mul_words
 from .singlet import SingletState, build_singlet
 from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_triples,
@@ -264,8 +262,8 @@ def _trace_check(psi: Element) -> IdentityCheck:
     row = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
                 "verified", "trace_normalized(-psi)", "1/4")
     residual = Element.scalar((-psi).trace_normalized() - Fraction(1, 4), 2)
-    trace = np.trace(expr_matrix(parse_expr("-psi"))) / 4
-    return _outcome(row, residual, float(abs(trace - 0.25)) <= TOLERANCE)
+    re, im = expr_matrix(parse_expr("-psi")).trace()
+    return _outcome(row, residual, (re / 4, im) == (Fraction(1, 4), 0))
 
 
 # --- the closure re-derivation: rewriting with the constraints ------------------
@@ -549,7 +547,7 @@ def _word_product_cross_check() -> dict:
     for a in words:
         for b in words:
             k, w = mul_words(a, b)
-            if approx_equal(mats[a] @ mats[b], (1j ** k) * mats[w]):
+            if approx_equal(mats[a] * mats[b], mats[w].times_i(k)):
                 agree += 1
     return {"pairs": len(words) ** 2, "oracle_agree": agree}
 

@@ -7,7 +7,8 @@ Grammar (whitespace insignificant, products left-associative)::
     factor   := '-' factor | '(' expr ')' | rational | 'i' | symbol
     rational := digits ('/' digits)?
     symbol   := 'E' digit digit   (digits 0-3, two-site words)
-              | 'e' digit         (digit 1-3, single-site letters)
+              | 'e' digit         (digit 0-3, single-site letters; e0 is
+                                   the identity, as E00 is at two sites)
               | 'psi' | 'I'
 
 '/' appears only inside rational literals; to divide by i, multiply by -i.
@@ -16,7 +17,6 @@ Single-site and two-site symbols cannot be mixed in one expression.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar, Union
@@ -210,8 +210,8 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"single-site symbols are e followed by one digit, got {text!r}",
                     offset)
-            if digits not in ("1", "2", "3"):
-                raise RangeError(f"single-site digit must be 1..3, got {text!r}",
+            if digits not in "0123":
+                raise RangeError(f"single-site digit must be 0..3, got {text!r}",
                                  offset)
             return Sym(text)
         raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
@@ -262,14 +262,12 @@ def infer_arity(node: Expr, default: int = 2) -> int:
 
 
 def evaluate(node: Expr, scalar: Callable[[Scalar], T],
-             word: Callable[[tuple[int, ...]], T], psi: T | None = None,
-             mul: Callable[[T, T], T] = operator.mul) -> T:
+             word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
     """Fold a tree bottom-up in any algebra.
 
     ``scalar`` gives a literal its value (``I`` is the literal 1), ``word``
     gives a symbol's letters theirs, and ``psi`` is the value of the ``psi``
-    symbol.  Negation, ``+`` and ``-`` are the values' own operators; ``mul``
-    multiplies.
+    symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own operators.
     """
     def ev(n: Expr) -> T:
         if isinstance(n, Lit):
@@ -290,7 +288,7 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
                 return left + right
             if n.op == "-":
                 return left - right
-            return mul(left, right)
+            return left * right
         raise TypeError(f"not an expression node: {n!r}")
 
     return ev(node)

@@ -1,18 +1,22 @@
-"""Dense matrix representation of words and elements.
+"""Exact matrix representation of words and elements.
 
-The numerical cross-check for the exact layer: letters map to the standard
-2x2 spin matrices, words to Kronecker products (first site leftmost),
-elements to coefficient-weighted sums, and expression trees to numpy
-products.  Everything here is built from the explicit matrices, never from
-the symbolic composition rules, so the two routes stay independent; even
-``psi`` is this module's own product of letter matrices, taken from no caller.
+The matrix cross-check for the exact layer: letters map to the standard 2x2
+spin matrices, words to Kronecker products (first site leftmost), elements
+to coefficient-weighted sums, and expression trees to matrix products.
+Everything here is built from the four explicit letter matrices and this
+module's own :class:`Matrix` arithmetic, never from the symbolic
+composition rules or the element layer's arithmetic, so the two routes stay
+independent; even ``psi`` is this module's own product of letter matrices,
+taken from no caller.  Entries are exact Gaussian rationals, so two
+matrices agree exactly when they are equal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from fractions import Fraction
 from functools import cache
-
-import numpy as np
+from math import gcd, lcm, prod
 
 from .element import Element
 from .exprparse import Expr, evaluate, infer_arity
@@ -21,78 +25,215 @@ from .pauli import PauliWord
 __all__ = [
     "DimensionMismatchError",
     "LETTER_MATRICES",
-    "TOLERANCE",
+    "Matrix",
     "approx_equal",
     "element_matrix",
     "expr_matrix",
     "word_matrix",
 ]
 
-# All matrices are tiny (dimension 4 at two sites) with entries of unit
-# magnitude, so 1e-12 is loose against roundoff yet catches any phase slip.
-TOLERANCE = 1e-12
-
 
 class DimensionMismatchError(ValueError):
-    """Two matrices of different shape were compared."""
+    """Two matrices of different shape were combined or compared."""
 
 
-_LETTERS = np.array([
-    [[1, 0], [0, 1]],
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-_LETTERS.flags.writeable = False
-# Read-only views: word_matrix returns them themselves for one-site words.
-LETTER_MATRICES = tuple(_LETTERS)
+Row = dict[int, tuple[int, int]]
+
+
+class Matrix:
+    """An immutable square matrix with exact Gaussian-rational entries.
+
+    Stored as one positive denominator shared by all entries and, per row,
+    the nonzero entries only: column -> Gaussian-integer numerator
+    ``(re, im)``.  The denominator and the numerators have no common factor,
+    so two matrices are equal exactly when their dimension, denominator and
+    rows are.  ``+``, ``-`` and unary ``-`` are entrywise and ``*`` is the
+    matrix product.
+    """
+
+    __slots__ = ("_dim", "_den", "_rows")
+
+    def __init__(self, rows: Sequence[Sequence[complex]], den: int = 1):
+        """``rows / den``, for rows of ints or integral complex literals like ``1j``."""
+        if den < 1:
+            raise ValueError("the denominator must be positive")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("rows must make a square matrix")
+        self._set(len(rows), den,
+                  [{c: _gaussian_integer(x) for c, x in enumerate(row)} for row in rows])
+
+    @classmethod
+    def _new(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
+        m = object.__new__(cls)
+        m._set(dim, den, rows)
+        return m
+
+    def _set(self, dim: int, den: int, rows: list[Row]) -> None:
+        """Store the parts in canonical form: zeros pruned, one gcd taken out."""
+        rows = [row if (0, 0) not in row.values() else
+                {c: p for c, p in row.items() if p != (0, 0)} for row in rows]
+        g = den if den == 1 else gcd(den, *(x for row in rows for p in row.values() for x in p))
+        if g != 1:
+            den //= g
+            rows = [{c: (re // g, im // g) for c, (re, im) in row.items()} for row in rows]
+        self._dim, self._den, self._rows = dim, den, tuple(rows)
+
+    @classmethod
+    def scalar(cls, dim: int, re: int | Fraction = 1, im: int | Fraction = 0) -> "Matrix":
+        """``re + i*im`` times the identity matrix of dimension ``dim``."""
+        den = lcm(re.denominator, im.denominator)
+        entry = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        return cls._new(dim, den, [{r: entry} for r in range(dim)])
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def entry(self, row: int, col: int) -> tuple[Fraction, Fraction]:
+        """The entry at ``(row, col)`` as its real and imaginary parts."""
+        re, im = self._rows[row].get(col, (0, 0))
+        return Fraction(re, self._den), Fraction(im, self._den)
+
+    def trace(self) -> tuple[Fraction, Fraction]:
+        """Sum of the diagonal entries, as its real and imaginary parts."""
+        diagonal = [row[r] for r, row in enumerate(self._rows) if r in row]
+        return (Fraction(sum(re for re, _ in diagonal), self._den),
+                Fraction(sum(im for _, im in diagonal), self._den))
+
+    def _check(self, other: object) -> bool:
+        """Whether ``other`` is a matrix; one of another dimension raises."""
+        if not isinstance(other, Matrix):
+            return False
+        if other._dim != self._dim:
+            raise DimensionMismatchError(f"dimensions differ: {self._dim} vs {other._dim}")
+        return True
+
+    def __add__(self, other: object) -> "Matrix":
+        if not self._check(other):
+            return NotImplemented
+        g = gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g  # bring both to the lcm
+        rows = []
+        for ra, rb in zip(self._rows, other._rows):
+            acc = {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
+            for c, (re, im) in rb.items():
+                old = acc.get(c, (0, 0))
+                acc[c] = (old[0] + re * fb, old[1] + im * fb)
+            rows.append(acc)
+        return Matrix._new(self._dim, self._den * fa, rows)
+
+    def __sub__(self, other: object) -> "Matrix":
+        if not self._check(other):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> "Matrix":
+        return self.times_i(2)
+
+    def __mul__(self, other: object) -> "Matrix":
+        """The matrix product."""
+        if not self._check(other):
+            return NotImplemented
+        right = other._rows
+        rows = []
+        for row in self._rows:
+            acc: Row = {}
+            get = acc.get
+            for k, (ar, ai) in row.items():
+                for c, (br, bi) in right[k].items():
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                    old = get(c)
+                    acc[c] = (re, im) if old is None else (old[0] + re, old[1] + im)
+            rows.append(acc)
+        return Matrix._new(self._dim, self._den * other._den, rows)
+
+    def times_i(self, k: int) -> "Matrix":
+        """``i**k`` times this matrix: a swap of the parts, a negation, or both."""
+        k %= 4
+        if not k:
+            return self
+        return Matrix._new(self._dim, self._den, [
+            {c: (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+             for c, (re, im) in row.items()}
+            for row in self._rows])
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """The Kronecker product, ``self`` on the leftmost factor."""
+        d = other._dim
+        rows = [{ca * d + cb: (ar * br - ai * bi, ar * bi + ai * br)
+                 for ca, (ar, ai) in ra.items() for cb, (br, bi) in rb.items()}
+                for ra in self._rows for rb in other._rows]
+        return Matrix._new(self._dim * d, self._den * other._den, rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self._dim == other._dim and self._den == other._den
+                and self._rows == other._rows)
+
+    def __repr__(self) -> str:
+        return f"Matrix(dim={self._dim}, den={self._den}, rows={self._rows!r})"
+
+
+def _gaussian_integer(x: int | complex) -> tuple[int, int]:
+    z = complex(x)
+    re, im = int(z.real), int(z.imag)
+    if (re, im) != (z.real, z.imag):
+        raise ValueError(f"entry {x!r} is not a Gaussian integer")
+    return re, im
+
+
+LETTER_MATRICES = (
+    Matrix([[1, 0], [0, 1]]),
+    Matrix([[0, 1], [1, 0]]),
+    Matrix([[0, -1j], [1j, 0]]),
+    Matrix([[1, 0], [0, -1]]),
+)
 
 # psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, from the letter matrices alone.
-_PSI = np.linalg.multi_dot([(np.kron(m, m) - np.eye(4)) / 2 for m in LETTER_MATRICES[1:]])
-_PSI.flags.writeable = False
+_PSI = prod((m.kron(m) - Matrix.scalar(4) for m in LETTER_MATRICES[1:]),
+            start=Matrix.scalar(4, Fraction(1, 8)))
 
 
-def word_matrix(word: PauliWord) -> np.ndarray:
+def word_matrix(word: PauliWord) -> Matrix:
     """Kronecker product of the per-site base matrices."""
     m = LETTER_MATRICES[word.letters[0]]
     for x in word.letters[1:]:
-        m = np.kron(m, LETTER_MATRICES[x])
+        m = m.kron(LETTER_MATRICES[x])
     return m
 
 
-def element_matrix(elem: Element) -> np.ndarray:
+def element_matrix(elem: Element) -> Matrix:
     """Coefficient-weighted sum of word matrices."""
     dim = 2 ** elem.arity
-    out = np.zeros((dim, dim), dtype=complex)
+    out = Matrix.scalar(dim, 0)
     for w, c in elem.terms.items():
-        out += complex(c) * word_matrix(w)
+        out += Matrix.scalar(dim, c.re, c.im) * word_matrix(w)
     return out
 
 
-def expr_matrix(node: Expr) -> np.ndarray:
-    """Evaluate a parsed expression with numpy alone.
+def expr_matrix(node: Expr) -> Matrix:
+    """Evaluate a parsed expression with matrices alone.
 
     A literal is that multiple of the identity matrix, a symbol the Kronecker
-    product of its letters' matrices (``psi`` their read-only product
+    product of its letters' matrices (``psi`` their product
     ``(E11-1)*(E22-1)*(E33-1)/8``), and ``*`` the matrix product.  No element
     arithmetic is involved, so the result is an independent check on
     ``to_element``.
     """
-    eye = np.eye(2 ** infer_arity(node), dtype=complex)
-    return evaluate(node, lambda value: complex(value) * eye, _symbol_matrix, _PSI,
-                    np.matmul)
+    dim = 2 ** infer_arity(node)
+    return evaluate(node, lambda value: Matrix.scalar(dim, value.re, value.im),
+                    _symbol_matrix, _PSI)
 
 
 @cache
-def _symbol_matrix(letters: tuple[int, ...]) -> np.ndarray:
-    """word_matrix of a symbol's letters, built once per process and read-only."""
-    m = word_matrix(PauliWord(letters))
-    m.flags.writeable = False
-    return m
+def _symbol_matrix(letters: tuple[int, ...]) -> Matrix:
+    """word_matrix of a symbol's letters, built once per process."""
+    return word_matrix(PauliWord(letters))
 
 
-def approx_equal(a: np.ndarray, b: np.ndarray, tol: float = TOLERANCE) -> bool:
-    """True iff the max-norm of the difference is at most ``tol``."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b))) <= tol
+def approx_equal(a: Matrix, b: Matrix) -> bool:
+    """Whether two matrices of one shape are equal; shapes that differ raise."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"shapes differ: {a.dim} vs {b.dim}")
+    return a == b

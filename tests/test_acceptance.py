@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines;
-every tolerance is pinned here, nothing is deferred.
+every expected figure is pinned here, nothing is deferred.
 """
 
 import itertools
@@ -10,8 +10,6 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-
-import numpy as np
 
 from eprkit.element import E, Element, IM
 from eprkit.epr import (
@@ -22,7 +20,7 @@ from eprkit.epr import (
     verify_resolution,
     verify_singlet_constraints,
 )
-from eprkit.matrices import approx_equal, element_matrix, word_matrix
+from eprkit.matrices import Matrix, approx_equal, element_matrix, word_matrix
 from eprkit.pauli import PauliWord, compose_letters, mul_words
 from eprkit.singlet import build_singlet
 from eprkit.triples import (
@@ -32,7 +30,7 @@ from eprkit.triples import (
     paper_sets_as_words,
 )
 
-TOL = 1e-12
+from numeric import eigenvalues
 
 ALL_WORDS = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
 NONTRIVIAL = [w for w in ALL_WORDS if not w.is_identity]
@@ -75,8 +73,8 @@ def test_criterion_1_generator_laws():
                 letters.append(c)
             assert mul_words(wa, wb) == (phase % 4, PauliWord(letters))
             k, w = mul_words(wa, wb)
-            assert approx_equal(word_matrix(wa) @ word_matrix(wb),
-                                (1j ** k) * word_matrix(w), TOL)
+            assert approx_equal(word_matrix(wa) * word_matrix(wb),
+                                word_matrix(w).times_i(k))
 
 
 def test_criterion_2_singlet_construction():
@@ -90,9 +88,8 @@ def test_criterion_2_singlet_construction():
             assert perm[0] * perm[1] * perm[2] == s.psi
         assert s.psi * s.psi == -s.psi
         m = element_matrix(-s.psi)
-        eigs = np.sort(np.linalg.eigvalsh(m))
-        assert np.max(np.abs(eigs - np.array([0, 0, 0, 1]))) < TOL
-        assert abs(np.trace(m) - 1) < TOL
+        assert eigenvalues(m) == [0, 0, 0, 1]
+        assert m.trace() == (1, 0)
 
 
 def test_criterion_3_peres_constraints():
@@ -153,7 +150,7 @@ def test_criterion_6_resolution():
         ]
         for lhs, rhs in strict_cases:
             assert lhs == rhs
-            assert approx_equal(element_matrix(lhs), element_matrix(rhs), TOL)
+            assert approx_equal(element_matrix(lhs), element_matrix(rhs))
         for lhs, rhs in [(E(1, 2), IM * E(0, 3)),
                          (E(2, 1), -IM * E(0, 3)),
                          (E(1, 2), -E(2, 1))]:
@@ -168,16 +165,13 @@ def test_criterion_7_enumeration():
     with criterion(7, "triple enumeration"):
         found = enumerate_basic_triples()
         # matrix-only recount, independent of the symbolic route
-        eye = np.eye(4, dtype=complex)
+        zero, i_eye = Matrix.scalar(4, 0), Matrix.scalar(4, 0, 1)
         recount = 0
         for combo in itertools.combinations(NONTRIVIAL, 3):
             a, b, c = (word_matrix(w) for w in combo)
-            if not all(np.allclose(x @ y + y @ x, 0, atol=TOL)
-                       for x, y in ((a, b), (a, c), (b, c))):
+            if not all(x * y + y * x == zero for x, y in ((a, b), (a, c), (b, c))):
                 continue
-            product = a @ b @ c
-            if np.allclose(product, 1j * eye, atol=TOL) or \
-                    np.allclose(product, -1j * eye, atol=TOL):
+            if a * b * c in (i_eye, -i_eye):
                 recount += 1
         assert recount == 20
         assert len(found) == 20

@@ -132,6 +132,14 @@ class TestEval:
         assert code == 0
         assert out.strip() == "i*E03"
 
+    def test_single_site_product_keeps_its_arity(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "e1*e2*e3")
+        assert code == 0
+        assert out == "i*e0\n"
+        code, out, _ = run_cli(capsys, "eval", out.strip())
+        assert code == 0
+        assert out == "i*e0\n"
+
     def test_leading_minus_expression_is_not_an_option(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "-i*E13*E01")
         assert code == 0
@@ -196,3 +204,23 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     assert result.stdout.strip() == "i*E12"
+
+
+# Block numpy before anything imports it: "import numpy" then raises.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from eprkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("eval", "e1*e2*e3"), ("expect", "E11"),
+                                  ("triples", "--diff-paper"), ("peres",)],
+                         ids=lambda argv: argv[0])
+def test_runs_without_numpy(argv):
+    result = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    if argv == ("verify",):
+        assert result.stdout == (GOLDEN / "report.json").read_text(encoding="utf-8")

@@ -2,12 +2,11 @@
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from eprkit import element, epr, matrices, pauli
-from eprkit.element import E, Element
+from eprkit.element import E, Element, Scalar
 from eprkit.epr import (
     ClassicalAssignment,
     all_assignments,
@@ -29,6 +28,7 @@ from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord
 from eprkit.singlet import SingletState
 
+from numeric import rank
 from test_element import elements
 
 
@@ -130,15 +130,13 @@ class TestDerivedIdentities:
         # Sound: the rewrite sends every word * generator product to zero.
         for p in products:
             assert epr._constraint_remainder(p).is_zero, p
-        # numpy rank of the products, independent of the rewrite
-        rows = [[complex(p.coefficient(v)) for v in all_words] for p in products]
-        assert np.linalg.matrix_rank(np.array(rows)) == 12
+        # floating-point rank of the products, independent of the rewrite
+        assert rank([[p.coefficient(v) for v in all_words] for p in products]) == 12
         # Complete: the 16 words leave a remainder of rank 4, so the rewrite's
         # kernel has dimension 12 and is exactly the ideal.
-        remainders = [[complex(epr._constraint_remainder(Element.from_word(w))
-                               .coefficient(v)) for v in all_words]
-                      for w in all_words]
-        assert np.linalg.matrix_rank(np.array(remainders)) == 4
+        remainders = [[epr._constraint_remainder(Element.from_word(w)).coefficient(v)
+                       for v in all_words] for w in all_words]
+        assert rank(remainders) == 4
 
     @given(elements, st.sampled_from(singlet_constraint_generators()))
     def test_remainder_vanishes_exactly_on_the_annihilator_of_psi(self, singlet, a, g):
@@ -291,6 +289,30 @@ class TestFullReport:
         assert report.overall == "fail"
         assert report.failing_names()
 
+    def test_corrupted_letter_matrix_fails_on_the_matrix_route(self, monkeypatch):
+        # negate the e2 matrix before any symbol matrix is built from it: psi is
+        # unchanged (it holds e2 twice), and every claim whose two sides differ in
+        # the parity of their e2 letters loses its oracle, as do 120 of 256 products
+        letters = matrices.LETTER_MATRICES
+        monkeypatch.setattr(matrices, "LETTER_MATRICES",
+                            (letters[0], letters[1], -letters[2], letters[3]))
+        matrices._symbol_matrix.cache_clear()
+        try:
+            report = run_full_report()
+        finally:
+            matrices._symbol_matrix.cache_clear()
+        assert report.overall == "fail"
+        assert report.homomorphism == {"pairs": 256, "oracle_agree": 136}
+        assert report.failing_names() == [
+            "E01 = -i*E02*E03", "E01 = -i*E23 (mod psi)", "E02 = -i*E03*E01",
+            "E02 = i*E13 (mod psi)", "E03 = i*E21 (mod psi)", "E12 = -i*E10*E03*E01",
+            "E12 = -i*E13*E01", "E12 = i*E03 (mod psi)", "E21 = -i*E03 (mod psi)",
+            "E21 = -i*E20*E02*E03", "E21 = -i*E22*E03", "closure: E01 = -i*E23",
+            "closure: E02 = i*E13", "closure: E03 = i*E21"]
+        checks = by_name(report.checks)
+        assert all(checks[n].status == "verified" and not checks[n].oracle_ok
+                   for n in report.failing_names())
+
     def test_corrupted_singlet_state_fails(self, singlet):
         bad_psi = singlet.psi + E(1, 2) / 2
         report = run_full_report(SingletState(bad_psi))
@@ -298,13 +320,16 @@ class TestFullReport:
         assert report.failing_names()
 
 
-def test_numpy_route_uses_no_symbolic_arithmetic(monkeypatch):
+def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the numpy route reached the symbolic layer")
+        raise AssertionError("the matrix route reached the symbolic layer")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                  "__rsub__", "__neg__"):
         monkeypatch.setattr(Element, name, refuse)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
+                 "__rsub__", "__neg__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Scalar, name, refuse)
     monkeypatch.setattr(pauli, "mul_words", refuse)
     monkeypatch.setattr(element, "mul_words", refuse)
     monkeypatch.setattr(matrices, "element_matrix", refuse)
@@ -319,5 +344,5 @@ def test_numpy_route_uses_no_symbolic_arithmetic(monkeypatch):
 def test_numeric_psi_route_matches_symbolic_psi(singlet):
     numeric = matrices.expr_matrix(parse_expr("psi"))
     assert approx_equal(numeric, element_matrix(singlet.psi))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         numeric[0, 0] = 0

@@ -33,6 +33,8 @@ ROUND_TRIP_CORPUS = [
     "1 - (2 - 3)",
     "E01*(E02*E03)",
     "I",
+    "e0 - e1*e1",
+    "(1+i)*e0",
 ]
 
 class TestParsing:
@@ -133,7 +135,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("text", ROUND_TRIP_CORPUS)
     def test_parse_print_parse(self, text, singlet):
         el = to_element(parse_expr(text), psi=singlet.psi)
-        assert to_element(parse_expr(str(el)), default_arity=el.arity) == el
+        assert to_element(parse_expr(str(el))) == el
 
 
 class TestArity:
@@ -167,6 +169,7 @@ class TestEvaluation:
                 assert to_element(parse_expr(f"E{a}{b}")) == E(a, b)
         for k in (1, 2, 3):
             assert to_element(parse_expr(f"e{k}")) == e(k)
+        assert to_element(parse_expr("e0")) == Element.one(1)
         assert to_element(parse_expr("I")) == Element.one(2)
 
     def test_product_expressions_match_direct_construction(self):
@@ -207,6 +210,9 @@ class TestEvaluation:
             -E(1, 2) / 3 + IM * E(0, 3),
             Element.scalar(Scalar(Fraction(1, 2), Fraction(-3, 4)), 2),
             (Scalar(1, 1) * E(2, 2)) - 5,
+            Element.zero(1),
+            e(1) * e(2) * e(3),
+            Scalar(1, 1) * Element.one(1) - e(2),
         ]
         for el in samples:
-            assert to_element(parse_expr(str(el)), default_arity=el.arity) == el
+            assert to_element(parse_expr(str(el))) == el

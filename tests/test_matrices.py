@@ -1,115 +1,152 @@
-"""The dense representation and its agreement with the exact layer."""
+"""The exact matrix representation and its agreement with the exact layer."""
 
 import itertools
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from eprkit.element import E, Element, IM
 from eprkit.matrices import (
     DimensionMismatchError,
     LETTER_MATRICES,
-    TOLERANCE,
+    Matrix,
     approx_equal,
     element_matrix,
     word_matrix,
 )
 from eprkit.pauli import PauliWord, mul_words
 
-E01_MATRIX = np.array([
+from numeric import eigenvalues
+
+E01_MATRIX = Matrix([
     [0, 1, 0, 0],
     [1, 0, 0, 0],
     [0, 0, 0, 1],
     [0, 0, 1, 0],
-], dtype=complex)
+])
 
-E02_MATRIX = np.array([
+E02_MATRIX = Matrix([
     [0, -1j, 0, 0],
     [1j, 0, 0, 0],
     [0, 0, 0, -1j],
     [0, 0, 1j, 0],
-], dtype=complex)
+])
 
-E20_MATRIX = np.array([
+E20_MATRIX = Matrix([
     [0, 0, -1j, 0],
     [0, 0, 0, -1j],
     [1j, 0, 0, 0],
     [0, 1j, 0, 0],
-], dtype=complex)
+])
+
+
+def diagonal(*entries):
+    return Matrix([[x if r == c else 0 for c in range(len(entries))]
+                   for r, x in enumerate(entries)])
 
 
 class TestWordMatrix:
     def test_explicit_4x4_patterns(self):
-        assert np.array_equal(word_matrix(PauliWord((0, 1))), E01_MATRIX)
-        assert np.array_equal(word_matrix(PauliWord((0, 2))), E02_MATRIX)
-        assert np.array_equal(word_matrix(PauliWord((2, 0))), E20_MATRIX)
-        assert np.array_equal(word_matrix(PauliWord((3, 0))),
-                              np.diag([1, 1, -1, -1]).astype(complex))
-        assert np.array_equal(word_matrix(PauliWord((0, 3))),
-                              np.diag([1, -1, 1, -1]).astype(complex))
+        assert word_matrix(PauliWord((0, 1))) == E01_MATRIX
+        assert word_matrix(PauliWord((0, 2))) == E02_MATRIX
+        assert word_matrix(PauliWord((2, 0))) == E20_MATRIX
+        assert word_matrix(PauliWord((3, 0))) == diagonal(1, 1, -1, -1)
+        assert word_matrix(PauliWord((0, 3))) == diagonal(1, -1, 1, -1)
 
     def test_identity_word(self):
-        assert np.array_equal(word_matrix(PauliWord((0, 0))), np.eye(4))
+        assert word_matrix(PauliWord((0, 0))) == Matrix.scalar(4)
 
     def test_single_site(self):
-        assert np.array_equal(word_matrix(PauliWord((3,))),
-                              np.diag([1, -1]).astype(complex))
+        assert word_matrix(PauliWord((3,))) == diagonal(1, -1)
 
     def test_single_site_result_cannot_corrupt_the_letters(self):
         m = word_matrix(PauliWord((1,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             m[0, 0] = 5
-        assert np.array_equal(LETTER_MATRICES[1], [[0, 1], [1, 0]])
+        with pytest.raises(AttributeError):
+            m.dim = 4
+        assert LETTER_MATRICES[1] == Matrix([[0, 1], [1, 0]])
 
     def test_entries_are_clean(self, all_words):
+        units = {(1, 0), (-1, 0), (0, 1), (0, -1)}
         for w in all_words:
             m = word_matrix(w)
-            assert set(np.unique(m)) <= {0, 1, -1, 1j, -1j}
+            entries = [m.entry(r, c) for r in range(4) for c in range(4)]
+            assert set(entries) <= units | {(0, 0)}
+            # a word matrix is monomial: one unit entry in every row
+            assert sum(x in units for x in entries) == 4
 
     def test_homomorphism_exhaustive(self, all_words):
         mats = {w: word_matrix(w) for w in all_words}
         for a, b in itertools.product(all_words, repeat=2):
             k, w = mul_words(a, b)
-            assert approx_equal(mats[a] @ mats[b], (1j ** k) * mats[w])
+            assert approx_equal(mats[a] * mats[b], mats[w].times_i(k))
+
+
+class TestMatrix:
+    def test_phases_cycle(self):
+        m = E02_MATRIX
+        assert m.times_i(1) == Matrix.scalar(4, 0, 1) * m
+        assert m.times_i(2) == -m
+        assert m.times_i(3) == -m.times_i(1)
+        assert m.times_i(4) == m.times_i(0) == m
+
+    def test_canonical_denominator(self):
+        half = Matrix.scalar(2, Fraction(1, 2))
+        assert half + half == Matrix.scalar(2)
+        assert Matrix([[2, 0], [0, 2]], den=4) == half
+        assert half.entry(0, 0) == (Fraction(1, 2), 0)
+        assert half - half == Matrix.scalar(2, 0)
+
+    def test_trace(self):
+        assert Matrix.scalar(4, Fraction(1, 3), 2).trace() == (Fraction(4, 3), 8)
+        assert E01_MATRIX.trace() == (0, 0)
+
+    def test_kron_puts_the_first_factor_leftmost(self):
+        x, z = LETTER_MATRICES[1], LETTER_MATRICES[3]
+        assert x.kron(z) == word_matrix(PauliWord((1, 3)))
+        assert z.kron(x) != x.kron(z)
+
+    def test_rejects_entries_that_are_not_gaussian_integers(self):
+        with pytest.raises(ValueError):
+            Matrix([[0.5]])
+        with pytest.raises(ValueError):
+            Matrix([[1, 0]])
 
 
 class TestElementMatrix:
     def test_zero_element(self):
-        assert np.array_equal(element_matrix(Element.zero(2)),
-                              np.zeros((4, 4)))
+        assert element_matrix(Element.zero(2)) == Matrix.scalar(4, 0)
 
     def test_product_matches_scaled_word(self):
         lhs = element_matrix(E(0, 1) * E(0, 2))
-        rhs = 1j * element_matrix(E(0, 3))
+        rhs = element_matrix(E(0, 3)).times_i(1)
         assert approx_equal(lhs, rhs)
 
     def test_linear(self):
         el = 2 * E(0, 1) - IM * E(3, 3)
-        expected = 2 * word_matrix(PauliWord((0, 1))) \
-            - 1j * word_matrix(PauliWord((3, 3)))
+        expected = Matrix.scalar(4, 2) * word_matrix(PauliWord((0, 1))) \
+            - word_matrix(PauliWord((3, 3))).times_i(1)
         assert approx_equal(element_matrix(el), expected)
 
     def test_projector_spectrum_is_rank_one(self, singlet):
-        eigs = np.linalg.eigvalsh(element_matrix(singlet.projector))
-        assert np.max(np.abs(np.sort(eigs) - np.array([0, 0, 0, 1]))) < TOLERANCE
+        assert eigenvalues(element_matrix(singlet.projector)) == [0, 0, 0, 1]
 
     def test_trace_agrees_with_exact_layer(self, all_words, singlet):
-        for w in all_words:
-            el = Element.from_word(w)
-            assert abs(np.trace(element_matrix(el)) / 4
-                       - complex(el.trace_normalized())) < TOLERANCE
-        assert abs(np.trace(element_matrix(singlet.psi)) / 4
-                   - complex(singlet.psi.trace_normalized())) < TOLERANCE
+        for el in [Element.from_word(w) for w in all_words] + [singlet.psi]:
+            re, im = element_matrix(el).trace()
+            assert (re / 4, im / 4) == (el.trace_normalized().re,
+                                        el.trace_normalized().im)
 
 
 class TestApproxEqual:
-    def test_reflexive_at_zero_tolerance(self):
+    def test_reflexive(self):
         m = word_matrix(PauliWord((1, 2)))
-        assert approx_equal(m, m, 0.0)
+        assert approx_equal(m, m)
 
     def test_product_identity(self):
         lhs = element_matrix(E(1, 2))
-        rhs = element_matrix(E(1, 0)) @ element_matrix(E(0, 2))
+        rhs = element_matrix(E(1, 0)) * element_matrix(E(0, 2))
         assert approx_equal(lhs, rhs)
 
     def test_distinct_words_differ(self):
@@ -117,4 +154,4 @@ class TestApproxEqual:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            approx_equal(np.eye(2), np.eye(4))
+            approx_equal(Matrix.scalar(2), Matrix.scalar(4))

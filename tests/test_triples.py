@@ -2,10 +2,8 @@
 
 import itertools
 
-import numpy as np
-
 from eprkit.element import Element, IM
-from eprkit.matrices import approx_equal, word_matrix
+from eprkit.matrices import Matrix, approx_equal, word_matrix
 from eprkit.pauli import PauliWord, commute_sign
 from eprkit.triples import (
     PAPER_BASIC_SETS,
@@ -26,18 +24,16 @@ UNLISTED_SETS = [
 
 
 def matrix_brute_force():
-    """Independent enumeration using only the dense representation."""
-    eye = np.eye(4, dtype=complex)
+    """Independent enumeration using only the matrix representation."""
+    zero, i_eye = Matrix.scalar(4, 0), Matrix.scalar(4, 0, 1)
     words = nontrivial_words()
     accepted = []
     for combo in itertools.combinations(words, 3):
         a, b, c = (word_matrix(w) for w in combo)
-        if not all(np.allclose(x @ y + y @ x, 0, atol=1e-12)
-                   for x, y in ((a, b), (a, c), (b, c))):
+        if not all(x * y + y * x == zero for x, y in ((a, b), (a, c), (b, c))):
             continue
-        product = a @ b @ c
-        if np.allclose(product, 1j * eye, atol=1e-12) or \
-                np.allclose(product, -1j * eye, atol=1e-12):
+        product = a * b * c
+        if product in (i_eye, -i_eye):
             accepted.append(frozenset(combo))
     return accepted
 
@@ -80,9 +76,9 @@ def test_cyclic_relations_hold_symbolically_and_numerically():
         assert b * c == IM * a
         assert c * a == IM * b
         ma, mb, mc = (word_matrix(w) for w in t.cyclic)
-        assert approx_equal(ma @ mb, 1j * mc)
-        assert approx_equal(mb @ mc, 1j * ma)
-        assert approx_equal(mc @ ma, 1j * mb)
+        assert approx_equal(ma * mb, mc.times_i(1))
+        assert approx_equal(mb * mc, ma.times_i(1))
+        assert approx_equal(mc * ma, mb.times_i(1))
 
 
 def test_cyclic_ordering_starts_at_smallest_member():
