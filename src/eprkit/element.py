@@ -141,10 +141,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return float(self.re) + 1j * float(self.im)
 
@@ -433,7 +429,5 @@ def E(i: int, j: int) -> Element:
 
 
 def e(k: int) -> Element:
-    """The single-site letter e<k> as an element."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"letter index must be 1..3, got {k!r}")
+    """The single-site letter e<k> as an element; ``e(0)`` is the identity."""
     return Element.from_word(PauliWord((k,)))

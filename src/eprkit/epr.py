@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .element import E, Element, PHASES
+from .element import E, Element
 from .exprparse import BinOp, Expr, Sym, parse_expr, to_element
 from .matrices import approx_equal, expr_matrix, word_matrix
-from .pauli import PauliWord, compose_letters, mul_words
-from .singlet import SingletState, build_singlet
+from .pauli import PauliWord, mul_words
+from .singlet import PSI_TEXT, SingletState, build_singlet
 from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_triples,
                       nontrivial_words)
 
@@ -70,9 +70,6 @@ __all__ = [
 # layer existed; the enumeration must keep reproducing them.
 EXPECTED_TRIPLE_COUNT = 20
 EXPECTED_INCIDENCE_DEGREE = 4
-
-# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, written out.
-_PSI = "1/8*(E11-1)*(E22-1)*(E33-1)"
 
 
 @dataclass
@@ -172,9 +169,9 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
           for equation in (f"(E{k}{k}+1)*psi = 0", f"E{k}{k}*psi = -psi")),
         _row("psi*psi = -psi", "singlet construction"),
         _row("(-psi)*(-psi) = -psi", "singlet construction"),
-        _row(f"{_PSI} = 1/8*(E22-1)*(E11-1)*(E33-1)", "singlet construction",
+        _row(f"{PSI_TEXT} = 1/8*(E22-1)*(E11-1)*(E33-1)", "singlet construction",
              name="psi1*psi2*psi3 = psi2*psi1*psi3"),
-        _row(f"{_PSI} = 1/8*(E33-1)*(E11-1)*(E22-1)", "singlet construction",
+        _row(f"{PSI_TEXT} = 1/8*(E33-1)*(E11-1)*(E22-1)", "singlet construction",
              name="psi1*psi2*psi3 = psi3*psi1*psi2"),
     ),
     "constraints": tuple(
@@ -278,17 +275,15 @@ def _constraint_remainder(el: Element) -> Element:
     """A two-site element modulo the left ideal of the singlet constraints.
 
     ``Eab = Ea0*E0b`` and ``X*E0b = -X*Eb0`` modulo the ideal, so for b != 0
-    ``Eab`` reduces to ``-i**k * Ec0`` with ``(k, c) = compose_letters(a, b)``.
-    What is left is a combination of E00, E10, E20, E30, zero exactly on the
-    ideal.  ``Ekk + 1 = Ek0*(E0k + Ek0)`` needs no rule of its own.
+    ``Eab`` reduces to the element product ``-Ea0*Eb0``, whose letters
+    :mod:`eprkit.pauli` composes.  What is left is a combination of E00,
+    E10, E20, E30, zero exactly on the ideal.  ``Ekk + 1 = Ek0*(E0k + Ek0)``
+    needs no rule of its own.
     """
     rest = Element.zero(2)
     for w, c in el.terms.items():
         a, b = w.letters
-        if b:
-            k, a = compose_letters(a, b)
-            c = -c * PHASES[k]
-        rest += Element.from_word(PauliWord((a, 0)), c)
+        rest += c * (-E(a, 0) * E(b, 0) if b else E(a, 0))
     return rest
 
 
@@ -552,17 +547,15 @@ def _word_product_cross_check() -> dict:
     return {"pairs": len(words) ** 2, "oracle_agree": agree}
 
 
-def run_full_report(s: SingletState | None = None,
-                    fault: str | None = None) -> VerificationReport:
-    """Run every check and aggregate one deterministic report.
+def run_full_report(fault: str | None = None) -> VerificationReport:
+    """Run every check on :func:`build_singlet`'s psi and aggregate one report.
 
     ``fault="corrupt-singlet"`` deliberately perturbs psi before running, so
     downstream failure handling can be exercised end to end.
     """
     from . import __version__
 
-    if s is None:
-        s = build_singlet()
+    s = build_singlet()
     if fault == "corrupt-singlet":
         bad = s.psi + Element.from_word(PauliWord((1, 2)), Fraction(1, 2))
         s = SingletState(bad)

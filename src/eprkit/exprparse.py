@@ -238,8 +238,8 @@ def parse_expr(text: str) -> Expr:
 
 # --- evaluation ---------------------------------------------------------------
 
-def infer_arity(node: Expr, default: int = 2) -> int:
-    """Word length implied by the symbols, or ``default`` if none constrain it."""
+def infer_arity(node: Expr) -> int:
+    """Word length implied by the symbols; a tree without symbols is two-site."""
     arities = set()
 
     def visit(n: Expr) -> None:
@@ -258,7 +258,7 @@ def infer_arity(node: Expr, default: int = 2) -> int:
     if len(arities) > 1:
         raise ArityConflictError(
             "single-site and two-site symbols mixed in one expression")
-    return arities.pop() if arities else default
+    return arities.pop() if arities else 2
 
 
 def evaluate(node: Expr, scalar: Callable[[Scalar], T],
@@ -294,13 +294,12 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
     return ev(node)
 
 
-def to_element(node: Expr, psi: Element | None = None,
-               default_arity: int = 2) -> Element:
-    """Evaluate a tree to a canonical element.
+def to_element(node: Expr, psi: Element | None = None) -> Element:
+    """Evaluate a tree to a canonical element at the arity :func:`infer_arity` gives.
 
     ``psi`` supplies the value of the ``psi`` symbol (callers may pass the
     projector instead to reinterpret it).
     """
-    arity = infer_arity(node, default_arity)
+    arity = infer_arity(node)
     return evaluate(node, lambda value: Element.scalar(value, arity),
                     lambda letters: Element.from_word(PauliWord(letters)), psi)

@@ -216,8 +216,8 @@ def expr_matrix(node: Expr) -> Matrix:
     """Evaluate a parsed expression with matrices alone.
 
     A literal is that multiple of the identity matrix, a symbol the Kronecker
-    product of its letters' matrices (``psi`` their product
-    ``(E11-1)*(E22-1)*(E33-1)/8``), and ``*`` the matrix product.  No element
+    product of its letters' matrices (``psi`` this module's own product of
+    them, :data:`_PSI`), and ``*`` the matrix product.  No element
     arithmetic is involved, so the result is an independent check on
     ``to_element``.
     """

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .element import E, Element, ONE, Scalar
+from .element import Element, ONE, Scalar
+from .exprparse import parse_expr, to_element
 
 __all__ = [
     "NotAnInvolutionError",
+    "PSI_TEXT",
     "SingletState",
     "build_singlet",
 ]
@@ -28,6 +30,12 @@ class NotAnInvolutionError(ValueError):
 
 
 _HALF = Scalar(Fraction(1, 2))
+
+# psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, in the expression grammar:
+# the one place the exact layer writes its formula.  Parsed once; every
+# build_singlet() evaluates the tree afresh.
+PSI_TEXT = "1/8*(E11-1)*(E22-1)*(E33-1)"
+_PSI_TREE = parse_expr(PSI_TEXT)
 
 
 class SingletState:
@@ -66,7 +74,5 @@ class SingletState:
 
 
 def build_singlet() -> SingletState:
-    """Construct psi = psi1*psi2*psi3 from the factors psi_k = (E_kk - 1)/2."""
-    f1, f2, f3 = ((E(k, k) - 1) / 2 for k in (1, 2, 3))
-    psi = f1 * f2 * f3
-    return SingletState(psi)
+    """psi = psi1*psi2*psi3, evaluated from :data:`PSI_TEXT` by the exact layer."""
+    return SingletState(to_element(_PSI_TREE))

@@ -69,9 +69,9 @@ class BasicTriple:
         return "(" + ", ".join(self.names) + ")"
 
 
-def nontrivial_words(arity: int = 2) -> list[PauliWord]:
-    """All non-identity words at the given arity, lexicographically ordered."""
-    return [PauliWord(t) for t in itertools.product(range(4), repeat=arity) if any(t)]
+def nontrivial_words() -> list[PauliWord]:
+    """The 15 non-identity two-site words, lexicographically ordered."""
+    return [PauliWord(t) for t in itertools.product(range(4), repeat=2) if any(t)]
 
 
 def _cyclic_order(members):

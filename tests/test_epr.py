@@ -26,7 +26,6 @@ from eprkit.epr import (
 from eprkit.exprparse import parse_expr
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord
-from eprkit.singlet import SingletState
 
 from numeric import rank
 from test_element import elements
@@ -275,19 +274,27 @@ class TestFullReport:
             run_full_report(fault="nonsense")
 
     def test_corrupted_composition_table_fails(self, monkeypatch):
-        # drop the phase from e1*e2; the suite must notice, not crash
-        import eprkit.pauli as pauli_mod
-        original = pauli_mod.compose_letters
+        # Drop the phase from e1*e2.  pauli owns the rule, so the symbolic
+        # route, the closure rewrite included, sees the slip and the matrix
+        # route, built from the letter matrices alone, refutes every verdict.
+        original = pauli.compose_letters
 
         def corrupted(a, b):
             if (a, b) == (1, 2):
                 return 0, 3
             return original(a, b)
 
-        monkeypatch.setattr(pauli_mod, "compose_letters", corrupted)
+        monkeypatch.setattr(pauli, "compose_letters", corrupted)
         report = run_full_report()
         assert report.overall == "fail"
-        assert report.failing_names()
+        assert report.homomorphism == {"pairs": 256, "oracle_agree": 225}
+        assert report.triples["count"] == 6
+        failing = report.failing_names()
+        assert len(failing) == 66
+        assert [n for n in failing if n.startswith("closure: ")] == ["closure: E12 = -E21"]
+        checks = by_name(report.checks)
+        assert all(checks[n].status == "refuted" and not checks[n].oracle_ok
+                   for n in failing)
 
     def test_corrupted_letter_matrix_fails_on_the_matrix_route(self, monkeypatch):
         # negate the e2 matrix before any symbol matrix is built from it: psi is
@@ -312,12 +319,6 @@ class TestFullReport:
         checks = by_name(report.checks)
         assert all(checks[n].status == "verified" and not checks[n].oracle_ok
                    for n in report.failing_names())
-
-    def test_corrupted_singlet_state_fails(self, singlet):
-        bad_psi = singlet.psi + E(1, 2) / 2
-        report = run_full_report(SingletState(bad_psi))
-        assert report.overall == "fail"
-        assert report.failing_names()
 
 
 def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):

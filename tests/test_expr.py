@@ -167,10 +167,12 @@ class TestEvaluation:
         for a in range(4):
             for b in range(4):
                 assert to_element(parse_expr(f"E{a}{b}")) == E(a, b)
-        for k in (1, 2, 3):
+        for k in range(4):
             assert to_element(parse_expr(f"e{k}")) == e(k)
-        assert to_element(parse_expr("e0")) == Element.one(1)
+        assert e(0) == Element.one(1)
         assert to_element(parse_expr("I")) == Element.one(2)
+        with pytest.raises(ValueError):
+            e(4)
 
     def test_product_expressions_match_direct_construction(self):
         cases = {
