@@ -10,7 +10,6 @@ scriptable commands.
 """
 
 from .element import (
-    ArityMismatchError,
     E,
     Element,
     IM,
@@ -54,7 +53,7 @@ from .matrices import (
     element_matrix,
     word_matrix,
 )
-from .pauli import LengthMismatchError, PauliWord, commute_sign, compose_letters, mul_words
+from .pauli import ArityMismatchError, PauliWord, commute_sign, compose_letters, mul_words
 from .singlet import NotAnInvolutionError, SingletState, build_singlet
 from .triples import (
     BasicTriple,
@@ -83,7 +82,6 @@ __all__ = [
     "FallacyStep",
     "IM",
     "IdentityCheck",
-    "LengthMismatchError",
     "NotAnInvolutionError",
     "ONE",
     "PAPER_BASIC_SETS",

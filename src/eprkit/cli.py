@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every check and report")
     p_verify.add_argument("--format", choices=("json", "md"), default="json")
-    p_verify.add_argument("--out", metavar="PATH",
-                          help="write the report here instead of stdout")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="corrupt the singlet construction first "
                                "(self-test of the failure path)")
@@ -40,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expect = sub.add_parser(
         "expect", help="exact singlet mean and outcome probabilities")
     p_expect.add_argument("expr")
-    p_expect.add_argument("--projector", action="store_true",
-                          help="make the psi symbol denote -psi")
 
     p_triples = sub.add_parser("triples", help="list the basic sets")
     p_triples.add_argument("--diff-paper", action="store_true",
@@ -57,11 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_full_report(fault="corrupt-singlet" if args.inject_fault else None)
     text = report.to_json() if args.format == "json" else report.to_markdown()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     if report.overall == "pass":
         return 0
     print("failed checks: " + "; ".join(report.failing_names() or ["(structural)"]),
@@ -71,8 +63,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_expect(args: argparse.Namespace) -> int:
     s = build_singlet()
-    tree = parse_expr(args.expr)
-    el = to_element(tree, psi=s.projector if args.projector else s.psi)
+    el = to_element(parse_expr(args.expr), psi=s.psi)
     if el.arity != 2:
         print("expect needs a two-site expression", file=sys.stderr)
         return 2
@@ -142,15 +133,15 @@ _HANDLERS = {
 def _separate_expression(argv: list[str]) -> list[str]:
     """Let expressions beginning with '-' reach the expr positional.
 
-    Without this, argparse reads "-i*E13*E01" as an option.  Flags of the
-    two expression commands are hoisted in front of a '--' separator.
+    Without this, argparse reads "-i*E13*E01" as an option.  The help flag
+    is hoisted in front of a '--' separator that precedes the rest.
     """
     if not argv or argv[0] not in ("eval", "expect") or "--" in argv:
         return argv
-    known_flags = {"--projector", "-h", "--help"}
+    help_flags = ("-h", "--help")
     rest = argv[1:]
-    flags = [a for a in rest if a in known_flags]
-    positionals = [a for a in rest if a not in known_flags]
+    flags = [a for a in rest if a in help_flags]
+    positionals = [a for a in rest if a not in help_flags]
     return [argv[0], *flags, "--", *positionals]
 
 

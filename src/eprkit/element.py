@@ -18,10 +18,9 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Union
 
-from .pauli import PauliWord, mul_words
+from .pauli import ArityMismatchError, PauliWord, mul_words
 
 __all__ = [
-    "ArityMismatchError",
     "E",
     "Element",
     "IM",
@@ -34,10 +33,6 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction, str]
-
-
-class ArityMismatchError(ValueError):
-    """Two elements over different word lengths were combined."""
 
 
 class PrintLimitError(ValueError):
@@ -60,12 +55,16 @@ class Scalar:
     """A complex number with exact rational real and imaginary parts.
 
     Instances are treated as immutable values; all arithmetic returns new
-    scalars.  Division is exact and total away from zero.
+    scalars.  Division is exact and total away from zero.  Parts are ints,
+    Fractions or strings; a float is refused, since its binary rounding
+    would enter silently.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError(f"scalar parts must be exact, got ({re!r}, {im!r})")
         self.re = Fraction(re)
         self.im = Fraction(im)
 

@@ -297,8 +297,7 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
 def to_element(node: Expr, psi: Element | None = None) -> Element:
     """Evaluate a tree to a canonical element at the arity :func:`infer_arity` gives.
 
-    ``psi`` supplies the value of the ``psi`` symbol (callers may pass the
-    projector instead to reinterpret it).
+    ``psi`` supplies the value of the ``psi`` symbol.
     """
     arity = infer_arity(node)
     return evaluate(node, lambda value: Element.scalar(value, arity),

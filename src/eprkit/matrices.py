@@ -6,9 +6,11 @@ to coefficient-weighted sums, and expression trees to matrix products.
 Everything here is built from the four explicit letter matrices and this
 module's own :class:`Matrix` arithmetic, never from the symbolic
 composition rules or the element layer's arithmetic, so the two routes stay
-independent; even ``psi`` is this module's own product of letter matrices,
-taken from no caller.  Entries are exact Gaussian rationals, so two
-matrices agree exactly when they are equal.
+independent by construction: the only eprkit module imported here is
+:mod:`~eprkit.exprparse`, the tree walk both routes share on purpose.  Even
+``psi`` is this module's own product of letter matrices, taken from no
+caller.  Entries are exact Gaussian rationals, so two matrices agree
+exactly when they are equal.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 
-from .element import Element
 from .exprparse import Expr, evaluate, infer_arity
-from .pauli import PauliWord
 
 __all__ = [
     "DimensionMismatchError",
@@ -195,16 +195,21 @@ _PSI = prod((m.kron(m) - Matrix.scalar(4) for m in LETTER_MATRICES[1:]),
             start=Matrix.scalar(4, Fraction(1, 8)))
 
 
-def word_matrix(word: PauliWord) -> Matrix:
-    """Kronecker product of the per-site base matrices."""
-    m = LETTER_MATRICES[word.letters[0]]
-    for x in word.letters[1:]:
+def word_matrix(letters: Sequence[int]) -> Matrix:
+    """Kronecker product of the per-site base matrices, first site leftmost.
+
+    ``letters`` is any sequence of the digits 0..3, a word among them.
+    """
+    if not letters or any(x not in (0, 1, 2, 3) for x in letters):
+        raise ValueError(f"site letters must be 0..3, got {letters!r}")
+    m = LETTER_MATRICES[letters[0]]
+    for x in letters[1:]:
         m = m.kron(LETTER_MATRICES[x])
     return m
 
 
-def element_matrix(elem: Element) -> Matrix:
-    """Coefficient-weighted sum of word matrices."""
+def element_matrix(elem) -> Matrix:
+    """Coefficient-weighted sum of word matrices of an :class:`~eprkit.Element`."""
     dim = 2 ** elem.arity
     out = Matrix.scalar(dim, 0)
     for w, c in elem.terms.items():
@@ -229,7 +234,7 @@ def expr_matrix(node: Expr) -> Matrix:
 @cache
 def _symbol_matrix(letters: tuple[int, ...]) -> Matrix:
     """word_matrix of a symbol's letters, built once per process."""
-    return word_matrix(PauliWord(letters))
+    return word_matrix(letters)
 
 
 def approx_equal(a: Matrix, b: Matrix) -> bool:

@@ -11,11 +11,10 @@ downstream never touch floating point.
 
 from __future__ import annotations
 
-import functools
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
-    "LengthMismatchError",
+    "ArityMismatchError",
     "PauliWord",
     "commute_sign",
     "compose_letters",
@@ -23,8 +22,8 @@ __all__ = [
 ]
 
 
-class LengthMismatchError(ValueError):
-    """Two words of different length were combined."""
+class ArityMismatchError(ValueError):
+    """Two words or elements over different numbers of sites were combined."""
 
 
 # Orientation of the letter algebra: e1*e2 = i*e3 and cyclic images.
@@ -53,73 +52,47 @@ def compose_letters(a: int, b: int) -> tuple[int, int]:
     return 3, _CYCLE[b, a]
 
 
-@functools.total_ordering
-class PauliWord:
+class PauliWord(tuple):
     """Immutable word of site letters; the all-zero word is the unit.
 
-    Words compare and sort lexicographically on their digit sequence, which
-    is the canonical order used wherever output must be deterministic.
+    A word is its tuple of letters, checked once when it is built, so it
+    compares, hashes and sorts as that tuple.  The lexicographic order is
+    the canonical order used wherever output must be deterministic.
     """
 
-    __slots__ = ("_letters",)
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[int]):
-        letters = tuple(letters)
-        if not letters:
+    def __new__(cls, letters: Iterable[int]) -> "PauliWord":
+        word = super().__new__(cls, letters)
+        if not word:
             raise ValueError("a word needs at least one site")
-        for x in letters:
+        for x in word:
             if x not in (0, 1, 2, 3):
                 raise ValueError(f"site letters must be 0..3, got {x!r}")
-        self._letters = letters
+        return word
 
     @classmethod
     def identity(cls, arity: int) -> "PauliWord":
         return cls((0,) * arity)
 
     @property
-    def letters(self) -> tuple[int, ...]:
-        return self._letters
-
-    @property
     def arity(self) -> int:
-        return len(self._letters)
+        return len(self)
 
     @property
     def is_identity(self) -> bool:
-        return not any(self._letters)
+        return not any(self)
 
     @property
     def name(self) -> str:
         """Symbol used in printed elements and the expression grammar."""
         if self.is_identity:
             return "I"
-        digits = "".join(str(x) for x in self._letters)
-        return ("e" if self.arity == 1 else "E") + digits
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._letters)
-
-    def __getitem__(self, idx: int) -> int:
-        return self._letters[idx]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PauliWord):
-            return self._letters == other._letters
-        return NotImplemented
-
-    def __lt__(self, other: "PauliWord") -> bool:
-        if isinstance(other, PauliWord):
-            return self._letters < other._letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._letters)
+        digits = "".join(str(x) for x in self)
+        return ("e" if len(self) == 1 else "E") + digits
 
     def __repr__(self) -> str:
-        return f"PauliWord({self._letters!r})"
+        return f"PauliWord({tuple(self)!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -127,11 +100,11 @@ class PauliWord:
 
 def mul_words(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
     """Site-wise product, returned as ``(k, word)`` with ``a*b = i**k * word``."""
-    if a.arity != b.arity:
-        raise LengthMismatchError(f"word lengths differ: {a.arity} vs {b.arity}")
+    if len(a) != len(b):
+        raise ArityMismatchError(f"arities differ: {len(a)} vs {len(b)}")
     k = 0
     out = []
-    for x, y in zip(a.letters, b.letters):
+    for x, y in zip(a, b):
         ph, c = compose_letters(x, y)
         k += ph
         out.append(c)
@@ -143,7 +116,7 @@ def commute_sign(a: PauliWord, b: PauliWord) -> int:
 
     Equals ``(-1)**m`` where m counts sites holding distinct nonzero letters.
     """
-    if a.arity != b.arity:
-        raise LengthMismatchError(f"word lengths differ: {a.arity} vs {b.arity}")
-    m = sum(1 for x, y in zip(a.letters, b.letters) if x and y and x != y)
+    if len(a) != len(b):
+        raise ArityMismatchError(f"arities differ: {len(a)} vs {len(b)}")
+    m = sum(1 for x, y in zip(a, b) if x and y and x != y)
     return -1 if m % 2 else 1

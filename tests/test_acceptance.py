@@ -67,7 +67,7 @@ def test_criterion_1_generator_laws():
 
         for wa, wb in itertools.product(ALL_WORDS, repeat=2):
             phase, letters = 0, []
-            for x, y in zip(wa.letters, wb.letters):
+            for x, y in zip(wa, wb):
                 k, c = site_table(x, y)
                 phase += k
                 letters.append(c)

@@ -45,13 +45,6 @@ class TestVerify:
         assert set(report["triples"]) >= {"count", "missing_from_paper",
                                           "extra_in_paper"}
 
-    def test_out_path(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "verify", "--out", str(target))
-        assert code == 0
-        assert out == ""
-        assert json.loads(target.read_text(encoding="utf-8"))["overall"] == "pass"
-
     def test_injected_fault_exits_one_and_names_checks(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--inject-fault")
         assert code == 1
@@ -85,8 +78,8 @@ class TestExpect:
         assert "mean: -1" in out
         assert "probabilities: undefined" in out
 
-    def test_projector_flag_changes_psi(self, capsys):
-        code, out, _ = run_cli(capsys, "expect", "psi", "--projector")
+    def test_negated_psi_is_the_projector(self, capsys):
+        code, out, _ = run_cli(capsys, "expect", "-psi")
         assert code == 0
         assert "mean: 1" in out
 
@@ -146,9 +139,10 @@ class TestEval:
         assert out.strip() == "E12"
 
     def test_expect_with_leading_minus_and_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "expect", "-psi", "--projector")
-        assert code == 0
-        assert "mean: -1" in out
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "expect", "-psi", "--help")
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eprkit expect")
 
     def test_psi_expands(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "psi")

@@ -18,6 +18,12 @@ class TestScalar:
         assert Scalar(0, 1) == IM
         assert Scalar(1, 1) != Scalar(1, -1)
 
+    def test_float_parts_are_refused(self):
+        for re, im in [(0.1, 0), (0, 0.5), (1.0, 0)]:
+            with pytest.raises(TypeError):
+                Scalar(re, im)
+        assert Scalar("1/10", 2) == Scalar(Fraction(1, 10), 2)
+
     def test_arithmetic(self):
         assert Scalar(1, 2) + Scalar(3, -1) == Scalar(4, 1)
         assert Scalar(1, 2) * Scalar(3, 4) == Scalar(-5, 10)

@@ -32,7 +32,7 @@ SCALAR_NAMES = ["i", "I"]
 ERRORS = {"ExprError", "ExprSyntaxError", "RangeError", "ArityConflictError",
           "PrintLimitError"}
 # Whole arguments that argparse reads as options or as the '--' separator.
-ARGV_WORDS = {"-h", "--help", "--projector", "--"}
+ARGV_WORDS = {"-h", "--help", "--"}
 
 spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
 rationals = st.builds(

@@ -1,10 +1,13 @@
 """The exact matrix representation and its agreement with the exact layer."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from eprkit import matrices
 from eprkit.element import E, Element, IM
 from eprkit.matrices import (
     DimensionMismatchError,
@@ -58,6 +61,13 @@ class TestWordMatrix:
 
     def test_single_site(self):
         assert word_matrix(PauliWord((3,))) == diagonal(1, -1)
+
+    def test_takes_any_sequence_of_letters(self):
+        assert word_matrix((1, 3)) == word_matrix(PauliWord((1, 3)))
+        assert word_matrix([3]) == diagonal(1, -1)
+        for letters in [(), (4,), (-1,), (0, 5)]:
+            with pytest.raises(ValueError):
+                word_matrix(letters)
 
     def test_single_site_result_cannot_corrupt_the_letters(self):
         m = word_matrix(PauliWord((1,)))
@@ -155,3 +165,20 @@ class TestApproxEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             approx_equal(Matrix.scalar(2), Matrix.scalar(4))
+
+
+def test_the_oracle_imports_no_eprkit_module_but_the_tree_walk():
+    # Independence by construction: the matrix route cannot reach the
+    # letter composition or the element arithmetic it cross-checks.
+    tree = ast.parse(Path(matrices.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module:
+            imported.add("eprkit." + node.module)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imported.update("eprkit." + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert {m for m in imported if m.split(".")[0] == "eprkit"} == {"eprkit.exprparse"}

@@ -6,7 +6,7 @@ import pytest
 
 from eprkit.matrices import LETTER_MATRICES, approx_equal, word_matrix
 from eprkit.pauli import (
-    LengthMismatchError,
+    ArityMismatchError,
     PauliWord,
     commute_sign,
     compose_letters,
@@ -55,20 +55,28 @@ class TestComposeLetters:
 
 class TestPauliWord:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PauliWord(())
-        with pytest.raises(ValueError):
-            PauliWord((0, 5))
+        for letters in [(), (0, 5), (4,), (-1, 0), (1, None)]:
+            with pytest.raises(ValueError):
+                PauliWord(letters)
 
     def test_value_semantics(self):
         assert PauliWord((1, 2)) == PauliWord((1, 2))
         assert hash(PauliWord((1, 2))) == hash(PauliWord((1, 2)))
         assert PauliWord((1, 2)) != PauliWord((2, 1))
 
+    def test_a_word_is_its_letter_tuple(self):
+        w = PauliWord([1, 2])
+        assert isinstance(w, tuple) and not hasattr(w, "__dict__")
+        assert w == (1, 2) and hash(w) == hash((1, 2))
+        assert {(1, 2): "found"}[w] == "found"
+        assert list(w) == [1, 2] and w[1] == 2 and len(w) == w.arity == 2
+        assert repr(w) == "PauliWord((1, 2))" and str(w) == "E12"
+
     def test_ordering_is_lexicographic(self):
         words = [PauliWord((1, 0)), PauliWord((0, 3)), PauliWord((0, 1))]
         assert sorted(words) == [PauliWord((0, 1)), PauliWord((0, 3)),
                                  PauliWord((1, 0))]
+        assert sorted(words) == sorted(tuple(w) for w in words)
 
     def test_names(self):
         assert PauliWord((0, 0)).name == "I"
@@ -99,7 +107,7 @@ class TestMulWords:
         assert approx_equal(lhs, word_matrix(w).times_i(k))
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ArityMismatchError):
             mul_words(PauliWord((1,)), PauliWord((1, 2)))
 
     def test_associative_single_site(self):
@@ -155,5 +163,5 @@ class TestCommuteSign:
             assert len(partners) == 8
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ArityMismatchError):
             commute_sign(PauliWord((1, 2)), PauliWord((1,)))
