@@ -154,6 +154,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ExprError, PrintLimitError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the parser and the tree walk recurse on nesting
+        print("ExprError: expression nests too deeply to evaluate "
+              f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - exit code 2 contract
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

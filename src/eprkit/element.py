@@ -213,15 +213,25 @@ class Element:
 
     @classmethod
     def one(cls, arity: int) -> "Element":
-        return cls(arity, {PauliWord.identity(arity): ONE})
+        return cls.from_word(PauliWord.identity(arity))
 
     @classmethod
     def scalar(cls, value: object, arity: int) -> "Element":
-        return cls(arity, {PauliWord.identity(arity): value})
+        """``value`` times the identity word at ``arity`` sites, built by :meth:`from_word`."""
+        return cls.from_word(PauliWord.identity(arity), value)
 
     @classmethod
     def from_word(cls, word: PauliWord, coeff: object = ONE) -> "Element":
-        return cls(word.arity, {word: coeff})
+        """The one-term element ``coeff*word``: ``Element(word.arity, {word: coeff})``.
+
+        Its canonical form is built directly, without the general
+        constructor's per-term loop and lcm; a zero ``coeff`` gives zero.
+        """
+        s = Scalar._coerce(coeff)
+        if s is None:
+            raise TypeError(f"coefficient {coeff!r} is not scalar-like")
+        d, re, im = _gaussian(s)
+        return cls._new(word.arity, *_canonical(d, {word: (re, im)}))
 
     @property
     def arity(self) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, TypeVar, Union
 
 from .element import Element, IM, ONE, Scalar
@@ -261,6 +262,12 @@ def infer_arity(node: Expr) -> int:
     return arities.pop() if arities else 2
 
 
+@cache
+def _letters(name: str) -> tuple[int, ...]:
+    """The letters a word symbol names, decoded once per name."""
+    return tuple(int(d) for d in name[1:])
+
+
 def evaluate(node: Expr, scalar: Callable[[Scalar], T],
              word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
     """Fold a tree bottom-up in any algebra.
@@ -268,6 +275,8 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
     ``scalar`` gives a literal its value (``I`` is the literal 1), ``word``
     gives a symbol's letters theirs, and ``psi`` is the value of the ``psi``
     symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own operators.
+    A symbol's name is decoded to its letters once per process, and ``word``
+    receives the same tuple each time, so it may cache on it.
     """
     def ev(n: Expr) -> T:
         if isinstance(n, Lit):
@@ -279,7 +288,7 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
                 if psi is None:
                     raise ExprError("psi is not available in this context")
                 return psi
-            return word(tuple(int(d) for d in n.name[1:]))
+            return word(_letters(n.name))
         if isinstance(n, Neg):
             return -ev(n.arg)
         if isinstance(n, BinOp):
@@ -297,8 +306,19 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
 def to_element(node: Expr, psi: Element | None = None) -> Element:
     """Evaluate a tree to a canonical element at the arity :func:`infer_arity` gives.
 
-    ``psi`` supplies the value of the ``psi`` symbol.
+    ``psi`` supplies the value of the ``psi`` symbol.  Every occurrence of a
+    word symbol shares one element, built once per process by
+    :func:`_word_element`; elements are immutable, so sharing is safe.
     """
     arity = infer_arity(node)
-    return evaluate(node, lambda value: Element.scalar(value, arity),
-                    lambda letters: Element.from_word(PauliWord(letters)), psi)
+    return evaluate(node, lambda value: Element.scalar(value, arity), _word_element, psi)
+
+
+@cache
+def _word_element(letters: tuple[int, ...]) -> Element:
+    """The element of a symbol's word, built once per process.
+
+    It holds only words :class:`PauliWord` accepted, so at most the grammar's
+    20 symbols, and no product: every product still goes through ``pauli``.
+    """
+    return Element.from_word(PauliWord(letters))

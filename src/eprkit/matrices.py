@@ -198,10 +198,10 @@ _PSI = prod((m.kron(m) - Matrix.scalar(4) for m in LETTER_MATRICES[1:]),
 def word_matrix(letters: Sequence[int]) -> Matrix:
     """Kronecker product of the per-site base matrices, first site leftmost.
 
-    ``letters`` is any sequence of the digits 0..3, a word among them.
+    ``letters`` is any sequence of the ints 0..3, a word among them.
     """
-    if not letters or any(x not in (0, 1, 2, 3) for x in letters):
-        raise ValueError(f"site letters must be 0..3, got {letters!r}")
+    if not letters or any(type(x) is not int or not 0 <= x <= 3 for x in letters):
+        raise ValueError(f"site letters must be ints 0..3, got {letters!r}")
     m = LETTER_MATRICES[letters[0]]
     for x in letters[1:]:
         m = m.kron(LETTER_MATRICES[x])

@@ -37,10 +37,11 @@ def compose_letters(a: int, b: int) -> tuple[int, int]:
     Returns ``(k, c)`` such that ``a*b = i**k * c``.  The identity letter 0
     absorbs, equal letters square to the identity, and distinct nonzero
     letters produce the third letter with phase +i along the cyclic
-    orientation and -i against it.
+    orientation and -i against it.  Letters are ints; ``True`` and ``1.0``
+    equal 1 but are refused.
     """
-    if a not in (0, 1, 2, 3) or b not in (0, 1, 2, 3):
-        raise ValueError(f"site letters must be 0..3, got ({a!r}, {b!r})")
+    if type(a) is not int or type(b) is not int or not (0 <= a <= 3 and 0 <= b <= 3):
+        raise ValueError(f"site letters must be ints 0..3, got ({a!r}, {b!r})")
     if a == 0:
         return 0, b
     if b == 0:
@@ -56,8 +57,10 @@ class PauliWord(tuple):
     """Immutable word of site letters; the all-zero word is the unit.
 
     A word is its tuple of letters, checked once when it is built, so it
-    compares, hashes and sorts as that tuple.  The lexicographic order is
-    the canonical order used wherever output must be deterministic.
+    compares, hashes and sorts as that tuple.  A letter is an ``int`` 0..3:
+    ``True`` or ``1.0`` would compare equal to 1 yet print as another name.
+    The lexicographic order is the canonical order used wherever output must
+    be deterministic.
     """
 
     __slots__ = ()
@@ -67,8 +70,8 @@ class PauliWord(tuple):
         if not word:
             raise ValueError("a word needs at least one site")
         for x in word:
-            if x not in (0, 1, 2, 3):
-                raise ValueError(f"site letters must be 0..3, got {x!r}")
+            if type(x) is not int or not 0 <= x <= 3:
+                raise ValueError(f"site letters must be ints 0..3, got {x!r}")
         return word
 
     @classmethod

@@ -185,6 +185,18 @@ class TestErrorPaths:
         assert "internal error" not in err
 
     @pytest.mark.parametrize("command", ["eval", "expect"])
+    @pytest.mark.parametrize("text", ["*".join(["E01"] * 3000),
+                                      "(" * 2000 + "E01" + ")" * 2000,
+                                      "-" * 5000 + "E01"],
+                             ids=["3000 factors", "2000 parentheses", "5000 minus signs"])
+    def test_too_deep_nesting_is_an_expression_error(self, capsys, command, text):
+        code, out, err = run_cli(capsys, command, text)
+        assert code == 2 and out == ""
+        assert err.startswith("ExprError: expression nests too deeply to evaluate "
+                              "(recursion limit ")
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "expect"])
     def test_result_past_the_print_limit_names_its_digits(self, capsys, command):
         big = "1" + "0" * 3000  # within the literal limit; its square is not
         code, _, err = run_cli(capsys, command, f"{big}*{big}*E01")

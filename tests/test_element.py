@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eprkit.element import ArityMismatchError, E, Element, IM, ONE, PHASES, Scalar, ZERO, e
 from eprkit.matrices import approx_equal, element_matrix
@@ -218,6 +218,18 @@ def test_equal_values_hash_alike(re, im, arity):
     for a, b in itertools.product(values, repeat=2):
         if a == b:
             assert hash(a) == hash(b), (a, b)
+
+
+@given(scalars, st.sampled_from([PauliWord(t) for n in (1, 2)
+                                  for t in itertools.product(range(4), repeat=n)]))
+@example(ZERO, PauliWord((1,)))
+@example(ZERO, PauliWord((1, 2)))
+def test_one_term_constructors_match_the_general_one(c, w):
+    identity = PauliWord.identity(w.arity)
+    for built, general in [(Element.from_word(w, c), Element(w.arity, {w: c})),
+                           (Element.scalar(c, w.arity), Element(w.arity, {identity: c}))]:
+        assert built == general and hash(built) == hash(general)
+        assert list(built.terms.items()) == list(general.terms.items())
 
 
 @given(elements, elements)

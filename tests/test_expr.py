@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from eprkit.element import E, Element, IM, Scalar, e
+from eprkit import exprparse
+from eprkit.element import E, Element, IM, ONE, Scalar, e
 from eprkit.exprparse import (
     ArityConflictError,
     BinOp,
@@ -18,6 +19,7 @@ from eprkit.exprparse import (
     parse_expr,
     to_element,
 )
+from eprkit.pauli import PauliWord
 
 ROUND_TRIP_CORPUS = [
     "E01*E02",
@@ -189,6 +191,20 @@ class TestEvaluation:
         }
         for text, expected in cases.items():
             assert to_element(parse_expr(text)) == expected
+
+    def test_a_shared_leaf_is_never_mutated(self):
+        leaf = to_element(parse_expr("E12"))
+        assert to_element(parse_expr("E12")) is leaf  # one element per symbol
+        assert to_element(parse_expr("E12*E12 - E12 + -E12")) == 1 - 2 * E(1, 2)
+        assert to_element(parse_expr("E12")) == E(1, 2)
+        assert list(leaf.terms.items()) == [(PauliWord((1, 2)), ONE)]
+
+    def test_the_word_cache_holds_one_element_per_symbol(self):
+        names = [f"E{a}{b}" for a in range(4) for b in range(4)] + [f"e{k}" for k in range(4)]
+        for name in names:
+            leaf = to_element(parse_expr(name))
+            assert to_element(parse_expr(f"{name}*{name} - {name}")) == 1 - leaf
+        assert exprparse._word_element.cache_info().currsize == len(names) == 20
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)

@@ -69,6 +69,11 @@ class TestWordMatrix:
             with pytest.raises(ValueError):
                 word_matrix(letters)
 
+    def test_refuses_bool_and_float_letters(self):
+        for letters in [(True,), (1.0, 0), (0, False)]:
+            with pytest.raises(ValueError):
+                word_matrix(letters)
+
     def test_single_site_result_cannot_corrupt_the_letters(self):
         m = word_matrix(PauliWord((1,)))
         with pytest.raises(TypeError):

@@ -52,10 +52,21 @@ class TestComposeLetters:
         with pytest.raises(ValueError):
             compose_letters(1, -1)
 
+    def test_rejects_bool_and_float_letters(self):
+        for a, b in [(True, 2), (1, 2.0), (1.0, 1), (False, 0)]:
+            with pytest.raises(ValueError):
+                compose_letters(a, b)
+
 
 class TestPauliWord:
     def test_validation(self):
         for letters in [(), (0, 5), (4,), (-1, 0), (1, None)]:
+            with pytest.raises(ValueError):
+                PauliWord(letters)
+
+    def test_bool_and_float_letters_are_refused(self):
+        # they equal 1 and 0, but would name the word E1.0True
+        for letters in [(1.0, True), (True,), (0, 2.0), (False, 1)]:
             with pytest.raises(ValueError):
                 PauliWord(letters)
 
