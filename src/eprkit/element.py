@@ -295,6 +295,12 @@ class Element:
             if other._arity != self._arity:
                 raise ArityMismatchError(
                     f"arities differ: {self._arity} vs {other._arity}")
+            unit = other._unit()
+            if unit is not None:
+                return self._relabel(*unit, True)
+            unit = self._unit()
+            if unit is not None:
+                return other._relabel(*unit, False)
             acc: dict[PauliWord, tuple[int, int]] = {}
             get = acc.get
             right = other._num.items()
@@ -314,6 +320,32 @@ class Element:
         return Element._new(self._arity, *_canonical(
             self._den * d,
             {w: (re * p - im * q, re * q + im * p) for w, (re, im) in self._num.items()}))
+
+    def _unit(self) -> "tuple[PauliWord, int] | None":
+        """``(word, u)`` when this element is ``i**u * word``, else None."""
+        if self._den != 1 or len(self._num) != 1:
+            return None
+        (word, pair), = self._num.items()
+        u = _UNITS.get(pair)
+        return None if u is None else (word, u)
+
+    def _relabel(self, word: PauliWord, u: int, on_right: bool) -> "Element":
+        """``self * i**u * word`` (``i**u * word * self`` when not ``on_right``).
+
+        Multiplying by one word maps words one to one, so no two terms meet,
+        and a unit leaves every gcd as it was: each term moves to its product
+        word with its numerator rotated, and only the order of words is restored.
+        """
+        num: dict[PauliWord, tuple[int, int]] = {}
+        for w, (re, im) in self._num.items():
+            k, v = mul_words(w, word) if on_right else mul_words(word, w)
+            k = (k + u) % 4
+            if k:  # times i**k
+                re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+            num[v] = (re, im)
+        if len(num) > 1:
+            num = dict(sorted(num.items(), key=_word))
+        return Element._new(self._arity, self._den, num)
 
     def __rmul__(self, other: object) -> "Element":
         # Scalars commute with everything, so this only handles scalar-likes.
@@ -381,6 +413,9 @@ def _gaussian(s: Scalar) -> tuple[int, int, int]:
 
 
 _word = itemgetter(0)
+
+# The numerator of i**u, for the unit multiples of a word, keyed to u.
+_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
 def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]

@@ -4,9 +4,12 @@ A word is a fixed-length string of site letters from ``{1, e1, e2, e3}``,
 encoded by the digits 0..3.  Letters square to 1, distinct nonzero letters
 anticommute, and the orientation is fixed by ``e1*e2 = i*e3`` together with
 its cyclic images; every other product is derived from these rules, never
-tabulated separately.  Word products are computed site by site with the
-accumulated power of i kept as an exact exponent mod 4, so identity checks
-downstream never touch floating point.
+written out separately.  The product of two words is derived from
+:func:`compose_letters` site by site, with the accumulated power of i kept as
+an exact exponent mod 4, the first time that pair of words is multiplied; it
+is stored in a table and read from there after that.  The table holds one-
+and two-site pairs only, the arities the grammar reaches, so it never grows
+past 16 + 256 entries.  Identity checks downstream never touch floating point.
 """
 
 from __future__ import annotations
@@ -101,8 +104,25 @@ class PauliWord(tuple):
         return self.name
 
 
+# (a, b) -> (k, word) with a*b = i**k * word, filled by mul_words from
+# compose_letters; keyed only by validated PauliWords of at most two sites.
+_PRODUCTS: dict[tuple[PauliWord, PauliWord], tuple[int, PauliWord]] = {}
+
+
 def mul_words(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
-    """Site-wise product, returned as ``(k, word)`` with ``a*b = i**k * word``."""
+    """Site-wise product, returned as ``(k, word)`` with ``a*b = i**k * word``.
+
+    A pair of one- or two-site :class:`PauliWord` s is folded through
+    :func:`compose_letters` once and then read from the product table.  Any
+    other pair is folded afresh; a plain sequence is never answered from the
+    table, so its letters are always checked: ``(True, 2)`` equals
+    ``PauliWord((1, 2))`` as a key.
+    """
+    words = type(a) is PauliWord and type(b) is PauliWord
+    if words:
+        product = _PRODUCTS.get((a, b))
+        if product is not None:
+            return product
     if len(a) != len(b):
         raise ArityMismatchError(f"arities differ: {len(a)} vs {len(b)}")
     k = 0
@@ -111,15 +131,17 @@ def mul_words(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
         ph, c = compose_letters(x, y)
         k += ph
         out.append(c)
-    return k % 4, PauliWord(out)
+    product = k % 4, PauliWord(out)
+    if words and len(out) <= 2:
+        _PRODUCTS[a, b] = product
+    return product
 
 
 def commute_sign(a: PauliWord, b: PauliWord) -> int:
     """+1 when ``a*b = b*a``, -1 when the words anticommute.
 
-    Equals ``(-1)**m`` where m counts sites holding distinct nonzero letters.
+    Read from the two products: the words commute exactly when ``a*b`` and
+    ``b*a`` carry the same phase.  This equals ``(-1)**m`` where m counts
+    sites holding distinct nonzero letters.
     """
-    if len(a) != len(b):
-        raise ArityMismatchError(f"arities differ: {len(a)} vs {len(b)}")
-    m = sum(1 for x, y in zip(a, b) if x and y and x != y)
-    return -1 if m % 2 else 1
+    return 1 if mul_words(a, b)[0] == mul_words(b, a)[0] else -1

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -172,9 +173,13 @@ scalars = st.builds(
     st.sampled_from(SMALL_RATIONALS),
 )
 
-elements = st.builds(
-    lambda terms: Element(2, terms),
-    st.dictionaries(st.sampled_from(WORDS2), scalars, max_size=4),
+# i**u times one word: a product with one of these relabels the other factor.
+unit_words = st.builds(Element.from_word, st.sampled_from(WORDS2), st.sampled_from(PHASES))
+
+elements = st.one_of(
+    st.builds(lambda terms: Element(2, terms),
+              st.dictionaries(st.sampled_from(WORDS2), scalars, max_size=4)),
+    unit_words,
 )
 
 
@@ -274,7 +279,7 @@ SMOOTH = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 25, 27,
 wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(SMOOTH))
 wide_scalars = st.builds(Scalar, wide_rationals, st.one_of(st.just(0), wide_rationals))
 wide_terms = st.dictionaries(st.sampled_from(WORDS2), wide_scalars, max_size=16)
-wide_elements = st.builds(lambda terms: Element(2, terms), wide_terms)
+wide_elements = st.one_of(st.builds(lambda terms: Element(2, terms), wide_terms), unit_words)
 
 
 def terms_of(el):
@@ -287,6 +292,15 @@ def test_binary_operations_match_the_reference(a, b):
     assert terms_of(a * b) == ref_mul(ta, tb)
     assert terms_of(a + b) == ref_add(ta, tb)
     assert terms_of(a - b) == ref_add(ta, tb, -1)
+
+
+@given(wide_elements, unit_words)
+@example(E(0, 1) + 2 * E(1, 0), E(1, 1))  # E01*E11 = E10 and E10*E11 = E01 swap places
+def test_a_product_by_a_unit_word_relabels_the_terms(a, u):
+    for product, reference in [(a * u, ref_mul(a.terms, u.terms)),
+                               (u * a, ref_mul(u.terms, a.terms))]:
+        assert terms_of(product) == reference  # words in order, as the reference sorts them
+        assert gcd(product._den, *(x for pair in product._num.values() for x in pair)) == 1
 
 
 @given(wide_elements, wide_scalars)

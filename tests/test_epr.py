@@ -277,6 +277,8 @@ class TestFullReport:
         # Drop the phase from e1*e2.  pauli owns the rule, so the symbolic
         # route, the closure rewrite included, sees the slip and the matrix
         # route, built from the letter matrices alone, refutes every verdict.
+        # Earlier tests have filled the product table from the true rule, so
+        # the run starts from an empty one, dropped again when the patch goes.
         original = pauli.compose_letters
 
         def corrupted(a, b):
@@ -285,6 +287,7 @@ class TestFullReport:
             return original(a, b)
 
         monkeypatch.setattr(pauli, "compose_letters", corrupted)
+        monkeypatch.setattr(pauli, "_PRODUCTS", {})
         report = run_full_report()
         assert report.overall == "fail"
         assert report.homomorphism == {"pairs": 256, "oracle_agree": 225}

@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from eprkit import pauli
+from eprkit.epr import run_full_report
 from eprkit.matrices import LETTER_MATRICES, approx_equal, word_matrix
 from eprkit.pauli import (
     ArityMismatchError,
@@ -12,6 +14,20 @@ from eprkit.pauli import (
     compose_letters,
     mul_words,
 )
+
+WORDS1 = [PauliWord((x,)) for x in range(4)]
+WORDS2 = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
+
+
+def fold(a, b):
+    """The site-by-site product through compose_letters, never stored."""
+    k, out = 0, []
+    for x, y in zip(a, b):
+        ph, c = compose_letters(x, y)
+        k += ph
+        out.append(c)
+    return k % 4, PauliWord(out)
+
 
 # The nine nonzero-letter products, written out from the defining relations:
 # squares give the identity, cyclic pairs give +i times the third letter,
@@ -139,6 +155,31 @@ class TestMulWords:
             assert ((k1 + k2) % 4, ab_c) == ((k3 + k4) % 4, a_bc)
 
 
+class TestProductTable:
+    def test_a_warm_table_holds_the_folded_products(self, monkeypatch):
+        monkeypatch.setattr(pauli, "_PRODUCTS", {})
+        run_full_report()
+        table = pauli._PRODUCTS
+        assert table and len(table) <= 272
+        assert all(product == fold(a, b) for (a, b), product in table.items())
+        pairs = [*itertools.product(WORDS1, repeat=2), *itertools.product(WORDS2, repeat=2)]
+        for a, b in pairs:
+            assert mul_words(a, b) == fold(a, b)
+        assert len(table) == 272
+        # longer words, which the grammar never builds, are folded every time
+        a, b = PauliWord((1, 2, 3)), PauliWord((2, 2, 1))
+        assert mul_words(a, b) == fold(a, b) == (2, PauliWord((3, 0, 2)))
+        assert len(table) == 272
+
+    def test_plain_tuples_are_checked_not_read_from_the_table(self):
+        assert mul_words(PauliWord((1, 2)), PauliWord((1, 0))) == (0, PauliWord((0, 2)))
+        for bad in [(True, 2), (1, 2.0)]:
+            with pytest.raises(ValueError):
+                mul_words(bad, (1, 0))
+            with pytest.raises(ValueError):
+                mul_words(PauliWord((1, 0)), bad)
+
+
 class TestCommuteSign:
     def test_single_site_anticommutes(self):
         assert commute_sign(PauliWord((1,)), PauliWord((2,))) == -1
@@ -172,6 +213,11 @@ class TestCommuteSign:
             partners = [v for v in nontrivial
                         if v != w and commute_sign(w, v) == -1]
             assert len(partners) == 8
+
+    def test_sign_counts_sites_of_distinct_nonzero_letters(self):
+        for a, b in itertools.product(WORDS2, repeat=2):
+            m = sum(1 for x, y in zip(a, b) if x and y and x != y)
+            assert commute_sign(a, b) == (-1) ** m
 
     def test_length_mismatch(self):
         with pytest.raises(ArityMismatchError):
