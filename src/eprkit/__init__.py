@@ -14,7 +14,6 @@ from .element import (
     Element,
     IM,
     ONE,
-    PHASES,
     PrintLimitError,
     Scalar,
     ZERO,
@@ -85,7 +84,6 @@ __all__ = [
     "NotAnInvolutionError",
     "ONE",
     "PAPER_BASIC_SETS",
-    "PHASES",
     "PauliWord",
     "PrintLimitError",
     "RangeError",

@@ -25,7 +25,6 @@ __all__ = [
     "Element",
     "IM",
     "ONE",
-    "PHASES",
     "PrintLimitError",
     "Scalar",
     "ZERO",
@@ -137,12 +136,6 @@ class Scalar:
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
-    def __complex__(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
     def __str__(self) -> str:
         if self.im == 0:
             return _text(self.re)
@@ -164,9 +157,6 @@ class Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 IM = Scalar(0, 1)
-
-# i**k for k = 0..3, as scalars.
-PHASES = (ONE, IM, Scalar(-1), Scalar(0, -1))
 
 
 class Element:
@@ -380,11 +370,6 @@ class Element:
         if self._num.keys() <= {PauliWord.identity(self._arity)}:
             return hash(self.trace_normalized())  # equal to its scalar, so hash alike
         return hash((self._arity, self._den, tuple(self._num.items())))
-
-    def adjoint(self) -> "Element":
-        """Hermitian conjugate: words are self-adjoint, coefficients conjugate."""
-        return Element._new(self._arity, self._den,
-                            {w: (re, -im) for w, (re, im) in self._num.items()})
 
     def trace_normalized(self) -> Scalar:
         """Coefficient of the identity word, i.e. trace divided by 2**arity."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,7 +55,6 @@ __all__ = [
     "constraint_flags",
     "fallacy_trace",
     "run_full_report",
-    "singlet_constraint_generators",
     "verify_combined_elements",
     "verify_constraint_family",
     "verify_derived_identities",
@@ -72,8 +70,7 @@ EXPECTED_TRIPLE_COUNT = 20
 EXPECTED_INCIDENCE_DEGREE = 4
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one verified claim, with both routes recorded."""
 
     name: str
@@ -83,22 +80,13 @@ class IdentityCheck:
     status: str
     residual_terms: int
     oracle_ok: bool        # matrix route agrees with the symbolic verdict
-    residual: Element | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.status == self.expected and self.oracle_ok
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper_ref": self.paper_ref,
-            "kind": self.kind,
-            "expected": self.expected,
-            "status": self.status,
-            "residual_terms": self.residual_terms,
-            "oracle_ok": self.oracle_ok,
-        }
+        return self._asdict()
 
 
 class Claim(NamedTuple):
@@ -226,8 +214,7 @@ def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck
     return IdentityCheck(name=row.name, paper_ref=row.paper_ref, kind=row.kind,
                          expected=row.expected, status=status,
                          residual_terms=len(residual.terms),
-                         oracle_ok=oracle_equal == (status == "verified"),
-                         residual=residual)
+                         oracle_ok=oracle_equal == (status == "verified"))
 
 
 def _strict(row: Claim) -> tuple[Expr, Expr]:
@@ -264,12 +251,6 @@ def _trace_check(psi: Element) -> IdentityCheck:
 
 
 # --- the closure re-derivation: rewriting with the constraints ------------------
-
-def singlet_constraint_generators() -> list[Element]:
-    """The six defining constraints: E0k + Ek0 and Ekk + 1."""
-    return [E(0, k) + E(k, 0) for k in (1, 2, 3)] + \
-           [E(k, k) + 1 for k in (1, 2, 3)]
-
 
 def _constraint_remainder(el: Element) -> Element:
     """A two-site element modulo the left ideal of the singlet constraints.
@@ -352,8 +333,7 @@ def verify_resolution(s: SingletState) -> list[IdentityCheck]:
 CONSTRAINT_NAMES = ("opposite_x", "opposite_y", "opposite_products")
 
 
-@dataclass(frozen=True)
-class ClassicalAssignment:
+class ClassicalAssignment(NamedTuple):
     """One candidate table of definite +1/-1 outcomes for the four words."""
 
     m01: int
@@ -403,16 +383,14 @@ def classical_assignment_search(
 
 # --- the fallacy and its resolution ------------------------------------------
 
-@dataclass
-class FallacyStep:
+class FallacyStep(NamedTuple):
     description: str
     legitimate: bool
     note: str
     check: IdentityCheck
 
 
-@dataclass
-class FallacyReport:
+class FallacyReport(NamedTuple):
     """Replay of the realist substitution argument, step by step.
 
     The decompositions and the recombination are sound; the two substitution
@@ -442,8 +420,7 @@ def fallacy_trace(s: SingletState) -> FallacyReport:
 
 # --- report assembly ----------------------------------------------------------
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregated outcome of the whole suite, canonically serializable."""
 
     version: str
@@ -458,15 +435,7 @@ class VerificationReport:
         return [c.name for c in self.checks if not c.ok]
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "checks": [c.to_dict() for c in self.checks],
-            "triples": self.triples,
-            "peres": self.peres,
-            "homomorphism": self.homomorphism,
-            "notes": list(self.notes),
-            "overall": self.overall,
-        }
+        return {**self._asdict(), "checks": [c.to_dict() for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -17,10 +17,9 @@ Single-site and two-site symbols cannot be mixed in one expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, TypeVar, Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
 from .element import Element, IM, ONE, Scalar
 from .pauli import PauliWord
@@ -42,7 +41,7 @@ __all__ = [
 
 
 class ExprError(ValueError):
-    """Base for expression errors; carries the byte offset when known."""
+    """Base for expression errors; carries the offset, a character index, when known."""
 
     def __init__(self, message: str, offset: int | None = None):
         self.offset = offset
@@ -63,23 +62,19 @@ class ArityConflictError(ExprError):
     """Single-site and two-site symbols mixed in one expression."""
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Scalar
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"

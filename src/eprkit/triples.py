@@ -11,7 +11,7 @@ evidence rather than silently corrected.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pauli import PauliWord, commute_sign, mul_words
 
@@ -50,8 +50,7 @@ PAPER_BASIC_SETS: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BasicTriple:
+class BasicTriple(NamedTuple):
     """Three mutually anticommuting words closed under multiplication.
 
     ``members`` is lexicographically sorted; ``cyclic`` is the ordering
@@ -105,8 +104,7 @@ def enumerate_basic_triples() -> list[BasicTriple]:
     return found
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     """Enumeration versus the published list.
 
     ``missing_from_paper`` holds triples the scan produced that the list

@@ -19,5 +19,5 @@ def eigenvalues(m):
 
 
 def rank(rows):
-    """The rank of a matrix whose entries are complex or exact scalars."""
-    return int(np.linalg.matrix_rank(np.array([[complex(x) for x in row] for row in rows])))
+    """The rank of a matrix whose entries are exact scalars."""
+    return int(np.linalg.matrix_rank(np.array([[complex(x.re, x.im) for x in row] for row in rows])))

@@ -221,6 +221,22 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+# Block the modules a lean import must not load.
+WITHOUT_DATACLASSES = """
+import sys
+sys.modules["dataclasses"] = sys.modules["inspect"] = None
+from eprkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runs_without_dataclasses_or_inspect():
+    result = subprocess.run([sys.executable, "-c", WITHOUT_DATACLASSES, "eval", "E01*E02"],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "i*E03\n"
+
+
 @pytest.mark.parametrize("argv", [("verify",), ("eval", "e1*e2*e3"), ("expect", "E11"),
                                   ("triples", "--diff-paper"), ("peres",)],
                          ids=lambda argv: argv[0])

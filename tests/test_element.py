@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eprkit.element import ArityMismatchError, E, Element, IM, ONE, PHASES, Scalar, ZERO, e
+from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, e
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord, commute_sign, mul_words
 
@@ -40,15 +40,9 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
 
-    def test_conjugate(self):
-        assert Scalar(1, 2).conjugate() == Scalar(1, -2)
-
     def test_bool(self):
         assert not ZERO
         assert Scalar(0, Fraction(1, 3))
-
-    def test_complex_conversion(self):
-        assert complex(Scalar(Fraction(1, 2), -2)) == 0.5 - 2j
 
     def test_str(self):
         assert str(Scalar(Fraction(-1, 2))) == "-1/2"
@@ -137,15 +131,6 @@ class TestElementProducts:
 
 
 class TestAdjointAndTrace:
-    def test_hermitian_generator(self):
-        assert E(0, 1).adjoint() == E(0, 1)
-
-    def test_imaginary_coefficient_conjugates(self):
-        assert (IM * E(0, 3)).adjoint() == -IM * E(0, 3)
-
-    def test_singlet_element_is_self_adjoint(self, singlet):
-        assert singlet.psi.adjoint() == singlet.psi
-
     def test_trace_of_identity_and_words(self):
         assert Element.one(2).trace_normalized() == 1
         assert E(1, 2).trace_normalized() == 0
@@ -159,6 +144,9 @@ class TestAdjointAndTrace:
 # --- property tests -------------------------------------------------------
 
 WORDS2 = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
+
+# i**k for k = 0..3, as scalars.
+PHASES = (ONE, IM, Scalar(-1), Scalar(0, -1))
 
 # Every rational in [-3, 3] with denominator at most 4, smallest magnitude
 # first so that shrinking heads to 0.  Drawing from the finite list gives the
@@ -204,14 +192,15 @@ def test_trace_is_cyclic(a, b):
     assert (a * b).trace_normalized() == (b * a).trace_normalized()
 
 
+def adjoint(el):
+    """Hermitian conjugate: words are self-adjoint, coefficients conjugate."""
+    return Element(el.arity, {w: Scalar(c.re, -c.im) for w, c in el.terms.items()})
+
+
 @given(elements, elements)
 def test_adjoint_reverses_products(a, b):
-    assert (a * b).adjoint() == b.adjoint() * a.adjoint()
-
-
-@given(elements)
-def test_adjoint_is_an_involution(a):
-    assert a.adjoint().adjoint() == a
+    # Holds only if every word product's phase is conjugated by swapping the factors.
+    assert adjoint(a * b) == adjoint(b) * adjoint(a)
 
 
 @given(st.one_of(st.integers(-10, 10), st.fractions(max_denominator=6)),
@@ -307,7 +296,6 @@ def test_a_product_by_a_unit_word_relabels_the_terms(a, u):
 def test_unary_and_scalar_operations_match_the_reference(a, s):
     ta = a.terms
     assert terms_of(-a) == ref_map(ta, lambda c: -c)
-    assert terms_of(a.adjoint()) == ref_map(ta, Scalar.conjugate)
     assert terms_of(a * s) == terms_of(s * a) == ref_map(ta, lambda c: c * s)
     if s:
         assert terms_of(a / s) == ref_map(ta, lambda c: c / s)

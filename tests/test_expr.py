@@ -39,31 +39,48 @@ ROUND_TRIP_CORPUS = [
     "(1+i)*e0",
 ]
 
+
+def typed(node):
+    """A tree as nested tuples that name each node's type before its fields.
+
+    Tree nodes are tuples, so ``Sym("E01") == Lit("E01")``; comparing typed
+    trees tells the node types apart as well.
+    """
+    if isinstance(node, (Lit, Sym, Neg, BinOp)):
+        return (type(node).__name__, *map(typed, node))
+    return node
+
+
 class TestParsing:
+    def test_typed_trees_tell_node_types_apart(self):
+        assert Sym("E01") == Lit("E01")
+        assert typed(Sym("E01")) != typed(Lit("E01"))
+        assert typed(Neg(Sym("E01"))) != typed(Neg(Lit("E01")))
+
     def test_simple_product(self):
         tree = parse_expr("E01*E02")
-        assert tree == BinOp("*", Sym("E01"), Sym("E02"))
+        assert typed(tree) == typed(BinOp("*", Sym("E01"), Sym("E02")))
 
     def test_precedence(self):
         tree = parse_expr("E01 + E02*E03")
-        assert tree == BinOp("+", Sym("E01"), BinOp("*", Sym("E02"), Sym("E03")))
+        assert typed(tree) == typed(BinOp("+", Sym("E01"), BinOp("*", Sym("E02"), Sym("E03"))))
 
     def test_left_associative(self):
-        assert parse_expr("E01-E02-E03") == BinOp(
-            "-", BinOp("-", Sym("E01"), Sym("E02")), Sym("E03"))
+        assert typed(parse_expr("E01-E02-E03")) == typed(BinOp(
+            "-", BinOp("-", Sym("E01"), Sym("E02")), Sym("E03")))
 
     def test_fraction_literal(self):
-        assert parse_expr("3/4") == Lit(Scalar(Fraction(3, 4)))
+        assert typed(parse_expr("3/4")) == typed(Lit(Scalar(Fraction(3, 4))))
 
     def test_imaginary_unit(self):
-        assert parse_expr("i") == Lit(Scalar(0, 1))
+        assert typed(parse_expr("i")) == typed(Lit(Scalar(0, 1)))
 
     def test_unary_minus(self):
-        assert parse_expr("-E01") == Neg(Sym("E01"))
-        assert parse_expr("--2") == Neg(Neg(Lit(Scalar(2))))
+        assert typed(parse_expr("-E01")) == typed(Neg(Sym("E01")))
+        assert typed(parse_expr("--2")) == typed(Neg(Neg(Lit(Scalar(2)))))
 
     def test_whitespace_insignificant(self):
-        assert parse_expr(" E01 *  E02 ") == parse_expr("E01*E02")
+        assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
 
 
 class TestParseErrors:
@@ -112,6 +129,10 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("E01 @ E02")
         assert info.value.offset == 4
+        # The offset counts characters: U+3000 is one character but three UTF-8 bytes.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("\u3000E01 $")
+        assert info.value.offset == 5
 
     @pytest.mark.parametrize("text, offset", [("2\u00b2", 1), ("E01*\u00b2", 4),
                                               ("\u0663*E01", 0)])

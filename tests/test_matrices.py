@@ -9,6 +9,7 @@ import pytest
 
 from eprkit import matrices
 from eprkit.element import E, Element, IM
+from eprkit.exprparse import parse_expr
 from eprkit.matrices import (
     DimensionMismatchError,
     LETTER_MATRICES,
@@ -146,6 +147,14 @@ class TestElementMatrix:
 
     def test_projector_spectrum_is_rank_one(self, singlet):
         assert eigenvalues(element_matrix(singlet.projector)) == [0, 0, 0, 1]
+
+    def test_singlet_matrices_are_hermitian(self, singlet):
+        # eigenvalues() reads one triangle only, so it cannot see this.
+        for m in (element_matrix(singlet.psi), element_matrix(singlet.projector),
+                  matrices.expr_matrix(parse_expr("psi"))):
+            for r, c in itertools.product(range(m.dim), repeat=2):
+                re, im = m.entry(c, r)
+                assert m.entry(r, c) == (re, -im), (r, c)
 
     def test_trace_agrees_with_exact_layer(self, all_words, singlet):
         for el in [Element.from_word(w) for w in all_words] + [singlet.psi]:
