@@ -6,8 +6,9 @@ stores Gaussian-integer numerators ``(re, im)`` per word over one positive
 denominator shared by all its terms, and is kept in canonical form (zero
 terms pruned, words in lexicographic order, a single gcd divided out of the
 denominator and every numerator), which makes equality plain structural
-equality.  :class:`Scalar`, a pair of :class:`fractions.Fraction` values, is
-the public single-value type: coefficients are built as scalars when read.
+equality.  An element is built from words and then arithmetic.
+:class:`Scalar`, a pair of :class:`fractions.Fraction` values, is the public
+single-value type: coefficients are built as scalars when read.
 """
 
 from __future__ import annotations
@@ -166,29 +167,15 @@ class Element:
     positive denominator shared by the whole element.  No stored pair is
     ``(0, 0)``, words are kept in sorted order, and the denominator and all
     numerators have no common factor, so two elements are equal exactly when
-    their arity, denominator and numerators are.  Arithmetic accepts plain
-    ints and Fractions wherever a scalar makes sense; a bare scalar stands
-    for that multiple of the identity word.
+    their arity, denominator and numerators are.
+
+    An element is built from words (:meth:`from_word`, :meth:`scalar`,
+    :meth:`one`, :meth:`zero`, :func:`E`, :func:`e`) and then arithmetic.
+    Arithmetic accepts plain ints, Fractions and scalars wherever a scalar
+    makes sense, and turns one into that multiple of the identity word first.
     """
 
     __slots__ = ("_arity", "_den", "_num")
-
-    def __init__(self, arity: int, terms: Mapping[PauliWord, object] | None = None):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        parts: dict[PauliWord, tuple[int, int, int]] = {}
-        for w, c in (terms or {}).items():
-            if w.arity != arity:
-                raise ArityMismatchError(
-                    f"word {w!r} has arity {w.arity}, element has arity {arity}")
-            s = Scalar._coerce(c)
-            if s is None:
-                raise TypeError(f"coefficient {c!r} is not scalar-like")
-            parts[w] = _gaussian(s)
-        den = lcm(*(d for d, _, _ in parts.values()))
-        self._arity = arity
-        self._den, self._num = _canonical(
-            den, {w: (re * (den // d), im * (den // d)) for w, (d, re, im) in parts.items()})
 
     @classmethod
     def _new(cls, arity: int, den: int, num: dict[PauliWord, tuple[int, int]]) -> "Element":
@@ -199,7 +186,9 @@ class Element:
 
     @classmethod
     def zero(cls, arity: int) -> "Element":
-        return cls(arity)
+        if arity < 1:
+            raise ValueError("arity must be at least 1")
+        return cls._new(arity, 1, {})
 
     @classmethod
     def one(cls, arity: int) -> "Element":
@@ -212,10 +201,10 @@ class Element:
 
     @classmethod
     def from_word(cls, word: PauliWord, coeff: object = ONE) -> "Element":
-        """The one-term element ``coeff*word``: ``Element(word.arity, {word: coeff})``.
+        """The one-term element ``coeff*word``; a zero ``coeff`` gives zero.
 
-        Its canonical form is built directly, without the general
-        constructor's per-term loop and lcm; a zero ``coeff`` gives zero.
+        Every element but zero starts here and grows by arithmetic, so this
+        is the one place a scalar is turned into integer parts.
         """
         s = Scalar._coerce(coeff)
         if s is None:
@@ -281,35 +270,30 @@ class Element:
                             {w: (-re, -im) for w, (re, im) in self._num.items()})
 
     def __mul__(self, other: object) -> "Element":
-        if isinstance(other, Element):
-            if other._arity != self._arity:
-                raise ArityMismatchError(
-                    f"arities differ: {self._arity} vs {other._arity}")
-            unit = other._unit()
-            if unit is not None:
-                return self._relabel(*unit, True)
-            unit = self._unit()
-            if unit is not None:
-                return other._relabel(*unit, False)
-            acc: dict[PauliWord, tuple[int, int]] = {}
-            get = acc.get
-            right = other._num.items()
-            for wa, (ar, ai) in self._num.items():
-                for wb, (br, bi) in right:
-                    k, w = mul_words(wa, wb)
-                    re, im = ar * br - ai * bi, ar * bi + ai * br
-                    if k:  # times i**k
-                        re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-                    old = get(w)
-                    acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
-            return Element._new(self._arity, *_canonical(self._den * other._den, acc))
-        s = Scalar._coerce(other)
-        if s is None:
+        o = self._coerce_operand(other)
+        if o is None:
             return NotImplemented
-        d, p, q = _gaussian(s)
-        return Element._new(self._arity, *_canonical(
-            self._den * d,
-            {w: (re * p - im * q, re * q + im * p) for w, (re, im) in self._num.items()}))
+        unit = o._unit()
+        if unit is not None:
+            return self._relabel(*unit, True)
+        unit = self._unit()
+        if unit is not None:
+            return o._relabel(*unit, False)
+        acc: dict[PauliWord, tuple[int, int]] = {}
+        get = acc.get
+        right = o._num.items()
+        for wa, (ar, ai) in self._num.items():
+            for wb, (br, bi) in right:
+                k, w = mul_words(wa, wb)
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                if k:  # times i**k
+                    re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+                old = get(w)
+                acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return Element._new(self._arity, *_canonical(self._den * o._den, acc))
+
+    # Only a scalar reaches this: a multiple of the identity word commutes with every word.
+    __rmul__ = __mul__
 
     def _unit(self) -> "tuple[PauliWord, int] | None":
         """``(word, u)`` when this element is ``i**u * word``, else None."""
@@ -337,25 +321,13 @@ class Element:
             num = dict(sorted(num.items(), key=_word))
         return Element._new(self._arity, self._den, num)
 
-    def __rmul__(self, other: object) -> "Element":
-        # Scalars commute with everything, so this only handles scalar-likes.
-        s = Scalar._coerce(other)
-        if s is None:
-            return NotImplemented
-        return self * s
-
     def __truediv__(self, other: object) -> "Element":
         s = Scalar._coerce(other)
         if s is None:
             return NotImplemented
         if not s:
             raise ZeroDivisionError("element division by zero scalar")
-        # 1/s = d*(p - i*q)/(p*p + q*q) for s = (p + i*q)/d
-        d, p, q = _gaussian(s)
-        return Element._new(self._arity, *_canonical(
-            self._den * (p * p + q * q),
-            {w: (d * (re * p + im * q), d * (im * p - re * q))
-             for w, (re, im) in self._num.items()}))
+        return self * (ONE / s)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Element):

@@ -53,13 +53,11 @@ class Matrix:
 
     __slots__ = ("_dim", "_den", "_rows")
 
-    def __init__(self, rows: Sequence[Sequence[complex]], den: int = 1):
-        """``rows / den``, for rows of ints or integral complex literals like ``1j``."""
-        if den < 1:
-            raise ValueError("the denominator must be positive")
+    def __init__(self, rows: Sequence[Sequence[complex]]):
+        """A matrix of ints or integral complex literals like ``1j``."""
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("rows must make a square matrix")
-        self._set(len(rows), den,
+        self._set(len(rows), 1,
                   [{c: _gaussian_integer(x) for c, x in enumerate(row)} for row in rows])
 
     @classmethod

@@ -57,8 +57,8 @@ class SingletState:
     def outcome_probabilities(self, a: Element) -> tuple[Scalar, Scalar]:
         """Born pair ((1 + <a>)/2, (1 - <a>)/2); requires ``a*a = 1``."""
         if a * a != Element.one(a.arity):
-            raise NotAnInvolutionError(
-                f"not a +1/-1 observable: ({a}) squared is not the identity")
+            # The element itself is not rendered: it may be too long to print.
+            raise NotAnInvolutionError("not a +1/-1 observable: its square is not the identity")
         mean = self.expectation(a)
         return (ONE + mean) / 2, (ONE - mean) / 2
 

@@ -128,16 +128,9 @@ def paper_sets_as_words() -> list[tuple[PauliWord, PauliWord, PauliWord]]:
     return [tuple(sorted(PauliWord(p) for p in s)) for s in PAPER_BASIC_SETS]
 
 
-def diff_with_paper_list(found: list[BasicTriple],
-                         listed=None) -> DiffReport:
-    """Diff the enumerated triples against a reference list of sets.
-
-    ``listed`` defaults to the published fixture; any iterable of word
-    triples works, which also makes the diff itself testable.
-    """
-    if listed is None:
-        listed = paper_sets_as_words()
-    listed = [tuple(sorted(s)) for s in listed]
+def diff_with_paper_list(found: list[BasicTriple]) -> DiffReport:
+    """Diff the enumerated triples against the published list, :data:`PAPER_BASIC_SETS`."""
+    listed = paper_sets_as_words()
     listed_keys = {frozenset(s) for s in listed}
     found_sets = {frozenset(t.members): t for t in found}
     missing = tuple(t for key, t in sorted(

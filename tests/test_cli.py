@@ -11,6 +11,8 @@ from eprkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+BIG = "1" + "0" * 3000  # within the literal limit; its square is not
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -77,6 +79,12 @@ class TestExpect:
         assert code == 0
         assert "mean: -1" in out
         assert "probabilities: undefined" in out
+
+    def test_unprintable_non_involution_skips_probabilities(self, capsys):
+        code, out, err = run_cli(capsys, "expect", f"{BIG}*{BIG}*E01")
+        assert code == 0 and err == ""
+        assert out == ("mean: 0\n"
+                       "probabilities: undefined (expression squared is not the identity)\n")
 
     def test_negated_psi_is_the_projector(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "-psi")
@@ -196,11 +204,12 @@ class TestErrorPaths:
                               "(recursion limit ")
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("command", ["eval", "expect"])
-    def test_result_past_the_print_limit_names_its_digits(self, capsys, command):
-        big = "1" + "0" * 3000  # within the literal limit; its square is not
-        code, _, err = run_cli(capsys, command, f"{big}*{big}*E01")
-        assert code == 2
+    # The expect input's mean is -BIG**2: nothing is printed before the error.
+    @pytest.mark.parametrize("command, word", [("eval", "E01"), ("expect", "E11")],
+                             ids=["eval", "expect"])
+    def test_result_past_the_print_limit_names_its_digits(self, capsys, command, word):
+        code, out, err = run_cli(capsys, command, f"{BIG}*{BIG}*{word}")
+        assert code == 2 and out == ""
         assert err == "PrintLimitError: a coefficient of 6001 digits is too long to print\n"
 
 

@@ -23,7 +23,7 @@ from eprkit.singlet import build_singlet
 # The recursive-descent parser and the tree walks recurse once per nesting
 # level, so inputs a few hundred levels deep still end in RecursionError.
 # Bounding the nesting at 4 keeps every text far below the interpreter's
-# recursion limit; deep inputs are the separate "hard input limits" item.
+# recursion limit; deep inputs wait for ROADMAP item 2, the iterative pipeline.
 MAX_DEPTH = 4
 
 ONE_SITE = [f"e{k}" for k in range(4)]
