@@ -14,6 +14,9 @@ and the exact matrix oracle (:func:`~eprkit.matrices.expr_matrix`, with its
 own psi), which shares the tree walk with the first but none of its
 arithmetic.  Both decide by literal equality.  Only
 ``trace_normalized(-psi) = 1/4`` is outside the grammar and checked by hand.
+The rows are constant, so each side is parsed once per process
+(:func:`_sides`); each report evaluates the trees again, on both routes and
+against its own psi, so only syntax is reused.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
 difference with the singlet constraints at the right end of its words
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .element import E, Element
@@ -217,12 +221,18 @@ def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck
                          oracle_ok=oracle_equal == (status == "verified"))
 
 
+@cache
+def _sides(row: Claim) -> tuple[Expr, Expr]:
+    """The parsed ``lhs`` and ``rhs`` of ``row``, once per process per row."""
+    return parse_expr(row.lhs), parse_expr(row.rhs)
+
+
 def _strict(row: Claim) -> tuple[Expr, Expr]:
     """The two trees whose strict equality decides ``row``.
 
     A mod-psi claim ``lhs = rhs`` becomes ``(lhs)*psi = (rhs)*psi``.
     """
-    lhs, rhs = parse_expr(row.lhs), parse_expr(row.rhs)
+    lhs, rhs = _sides(row)
     if row.kind == "mod-psi":
         return BinOp("*", lhs, Sym("psi")), BinOp("*", rhs, Sym("psi"))
     if row.kind != "strict":
@@ -241,13 +251,16 @@ def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
     return [_outcome(row, *_decide(row, psi)) for row in CLAIMS[stage]]
 
 
+_TRACE_ROW = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
+                   "verified", "trace_normalized(-psi)", "1/4")
+_NEG_PSI_TREE = parse_expr("-psi")
+
+
 def _trace_check(psi: Element) -> IdentityCheck:
     """trace_normalized(-psi) = 1/4, the claim the grammar cannot state."""
-    row = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
-                "verified", "trace_normalized(-psi)", "1/4")
     residual = Element.scalar((-psi).trace_normalized() - Fraction(1, 4), 2)
-    re, im = expr_matrix(parse_expr("-psi")).trace()
-    return _outcome(row, residual, (re / 4, im) == (Fraction(1, 4), 0))
+    re, im = expr_matrix(_NEG_PSI_TREE).trace()
+    return _outcome(_TRACE_ROW, residual, (re / 4, im) == (Fraction(1, 4), 0))
 
 
 # --- the closure re-derivation: rewriting with the constraints ------------------
@@ -306,7 +319,8 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     for row in CLAIMS["battery"]:
         residual, oracle_equal = _decide(row, s.psi)
         checks.append(_outcome(row, residual, oracle_equal))
-        diff = to_element(parse_expr(row.lhs)) - to_element(parse_expr(row.rhs))
+        lhs, rhs = _sides(row)
+        diff = to_element(lhs) - to_element(rhs)
         closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
                                paper_ref="re-derivation from the defining constraints")
         checks.append(_outcome(closure, _constraint_remainder(diff), oracle_equal))

@@ -1,11 +1,12 @@
 """The identity suite: constraints, search, fallacy, resolution, report."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from eprkit import element, epr, matrices, pauli
+from eprkit import element, epr, exprparse, matrices, pauli
 from eprkit.element import E, Element, Scalar
 from eprkit.epr import (
     ClassicalAssignment,
@@ -29,6 +30,8 @@ from eprkit.pauli import PauliWord
 from numeric import rank
 from test_element import elements
 
+
+GOLDEN_JSON = (Path(__file__).parent / "golden" / "report.json").read_text(encoding="utf-8")
 
 # The six defining constraints: E0k + Ek0 and Ekk + 1.
 GENERATORS = [E(0, k) + E(k, 0) for k in (1, 2, 3)] + [E(k, k) + 1 for k in (1, 2, 3)]
@@ -225,6 +228,26 @@ class TestFullReport:
 
     def test_deterministic_serialization(self):
         assert run_full_report().to_json() == run_full_report().to_json()
+
+    def test_warm_report_parses_nothing(self, monkeypatch):
+        # The claim rows are constant text: after one report, every tree the
+        # next one evaluates was parsed already.
+        run_full_report()
+
+        def refuse(text):
+            raise AssertionError(f"a warm report parsed {text!r}")
+
+        monkeypatch.setattr(exprparse, "parse_expr", refuse)
+        monkeypatch.setattr(epr, "parse_expr", refuse)
+        assert run_full_report().to_json() == GOLDEN_JSON
+
+    def test_reused_trees_are_evaluated_against_each_reports_psi(self):
+        # Only syntax is reused: a corrupted psi, the true one and the
+        # corrupted one again give three independent verdicts.
+        first = run_full_report(fault="corrupt-singlet").failing_names()
+        assert run_full_report().to_json() == GOLDEN_JSON
+        assert run_full_report(fault="corrupt-singlet").failing_names() == first
+        assert len(first) == 69
 
     def test_markdown_names_the_verdict(self):
         md = run_full_report().to_markdown()
