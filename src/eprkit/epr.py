@@ -277,7 +277,7 @@ def _constraint_remainder(el: Element) -> Element:
     rest = Element.zero(2)
     for w, c in el.terms.items():
         a, b = w
-        rest += c * (-E(a, 0) * E(b, 0) if b else E(a, 0))
+        rest += (-E(a, 0) * E(b, 0) if b else E(a, 0)) * c
     return rest
 
 

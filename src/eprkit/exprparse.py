@@ -12,7 +12,13 @@ Grammar (whitespace insignificant, products left-associative)::
               | 'psi' | 'I'
 
 '/' appears only inside rational literals; to divide by i, multiply by -i.
-Single-site and two-site symbols cannot be mixed in one expression.
+
+The parser decides an expression's arity from the names it reads: ``psi``
+and the ``E`` symbols are two-site, the ``e`` symbols single-site, and a
+text with neither is two-site.  Every literal, ``i`` and ``I`` included, is
+built at that arity.  Single-site and two-site symbols cannot be mixed in
+one expression: :func:`parse_expr` raises :class:`ArityConflictError` once
+the text has parsed, so a syntax error takes precedence.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ __all__ = [
     "RangeError",
     "Sym",
     "evaluate",
-    "infer_arity",
     "parse_expr",
     "to_element",
 ]
@@ -64,6 +69,7 @@ class ArityConflictError(ExprError):
 
 class Lit(NamedTuple):
     value: Scalar
+    arity: int
 
 
 class Sym(NamedTuple):
@@ -119,6 +125,10 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        arities = {1 if name[0] == "e" else 2 for kind, name, _ in self.tokens
+                   if kind == "name" and (name[0] in "Ee" or name == "psi")}
+        self.mixed = len(arities) > 1
+        self.arity = 1 if arities == {1} else 2
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -179,16 +189,16 @@ class _Parser:
                 if denominator == 0:
                     raise ExprSyntaxError("zero denominator", doff)
                 value /= denominator
-            return Lit(Scalar(value))
+            return Lit(Scalar(value), self.arity)
         if kind == "name":
             self.advance()
             return self.symbol(text, offset)
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
 
     def symbol(self, text: str, offset: int) -> Expr:
-        if text == "i":
-            return Lit(IM)
-        if text in ("I", "psi"):
+        if text in ("i", "I"):
+            return Lit(IM if text == "i" else ONE, self.arity)
+        if text == "psi":
             return Sym(text)
         if text[0] == "E":
             digits = text[1:]
@@ -229,33 +239,12 @@ def parse_expr(text: str) -> Expr:
     kind, tok, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {tok!r}", offset)
+    if parser.mixed:
+        raise ArityConflictError("single-site and two-site symbols mixed in one expression")
     return node
 
 
 # --- evaluation ---------------------------------------------------------------
-
-def infer_arity(node: Expr) -> int:
-    """Word length implied by the symbols; a tree without symbols is two-site."""
-    arities = set()
-
-    def visit(n: Expr) -> None:
-        if isinstance(n, Sym):
-            if n.name == "psi" or n.name[0] == "E":
-                arities.add(2)
-            elif n.name[0] == "e":
-                arities.add(1)
-        elif isinstance(n, Neg):
-            visit(n.arg)
-        elif isinstance(n, BinOp):
-            visit(n.left)
-            visit(n.right)
-
-    visit(node)
-    if len(arities) > 1:
-        raise ArityConflictError(
-            "single-site and two-site symbols mixed in one expression")
-    return arities.pop() if arities else 2
-
 
 @cache
 def _letters(name: str) -> tuple[int, ...]:
@@ -263,22 +252,20 @@ def _letters(name: str) -> tuple[int, ...]:
     return tuple(int(d) for d in name[1:])
 
 
-def evaluate(node: Expr, scalar: Callable[[Scalar], T],
+def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
              word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
     """Fold a tree bottom-up in any algebra.
 
-    ``scalar`` gives a literal its value (``I`` is the literal 1), ``word``
-    gives a symbol's letters theirs, and ``psi`` is the value of the ``psi``
-    symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own operators.
-    A symbol's name is decoded to its letters once per process, and ``word``
-    receives the same tuple each time, so it may cache on it.
+    ``scalar`` gives a literal its value from the literal's value and arity,
+    ``word`` gives a symbol's letters theirs, and ``psi`` is the value of the
+    ``psi`` symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own
+    operators.  A symbol's name is decoded to its letters once per process,
+    and ``word`` receives the same tuple each time, so it may cache on it.
     """
     def ev(n: Expr) -> T:
         if isinstance(n, Lit):
-            return scalar(n.value)
+            return scalar(n.value, n.arity)
         if isinstance(n, Sym):
-            if n.name == "I":
-                return scalar(ONE)
             if n.name == "psi":
                 if psi is None:
                     raise ExprError("psi is not available in this context")
@@ -299,14 +286,13 @@ def evaluate(node: Expr, scalar: Callable[[Scalar], T],
 
 
 def to_element(node: Expr, psi: Element | None = None) -> Element:
-    """Evaluate a tree to a canonical element at the arity :func:`infer_arity` gives.
+    """Evaluate a tree to a canonical element, each literal at the arity it carries.
 
     ``psi`` supplies the value of the ``psi`` symbol.  Every occurrence of a
     word symbol shares one element, built once per process by
     :func:`_word_element`; elements are immutable, so sharing is safe.
     """
-    arity = infer_arity(node)
-    return evaluate(node, lambda value: Element.scalar(value, arity), _word_element, psi)
+    return evaluate(node, Element.scalar, _word_element, psi)
 
 
 @cache

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 
-from .exprparse import Expr, evaluate, infer_arity
+from .exprparse import Expr, evaluate
 
 __all__ = [
     "DimensionMismatchError",
@@ -218,14 +218,13 @@ def element_matrix(elem) -> Matrix:
 def expr_matrix(node: Expr) -> Matrix:
     """Evaluate a parsed expression with matrices alone.
 
-    A literal is that multiple of the identity matrix, a symbol the Kronecker
-    product of its letters' matrices (``psi`` this module's own product of
-    them, :data:`_PSI`), and ``*`` the matrix product.  No element
-    arithmetic is involved, so the result is an independent check on
-    ``to_element``.
+    A literal is that multiple of the identity matrix at the literal's
+    arity, a symbol the Kronecker product of its letters' matrices (``psi``
+    this module's own product of them, :data:`_PSI`), and ``*`` the matrix
+    product.  No element arithmetic is involved, so the result is an
+    independent check on ``to_element``.
     """
-    dim = 2 ** infer_arity(node)
-    return evaluate(node, lambda value: Matrix.scalar(dim, value.re, value.im),
+    return evaluate(node, lambda value, arity: Matrix.scalar(2 ** arity, value.re, value.im),
                     _symbol_matrix, _PSI)
 
 

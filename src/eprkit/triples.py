@@ -75,12 +75,7 @@ def nontrivial_words() -> list[PauliWord]:
 
 def _cyclic_order(members):
     a, b, c = members
-    for perm in ((a, b, c), (a, c, b)):
-        k, w = mul_words(perm[0], perm[1])
-        if k == 1 and w == perm[2]:
-            return perm
-    # Unreachable for a genuine triple; keeps corrupted-algebra runs alive.
-    return members
+    return (a, b, c) if mul_words(a, b)[0] == 1 else (a, c, b)
 
 
 def enumerate_basic_triples() -> list[BasicTriple]:

@@ -179,6 +179,11 @@ class TestErrorPaths:
         assert code == 2
         assert "ArityConflict" in err
 
+    def test_arity_conflict_in_a_long_chain_is_found_by_the_parser(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "*".join(["e1"] + ["E01"] * 2999))
+        assert code == 2 and out == ""
+        assert err.startswith("ArityConflictError: ")
+
     def test_non_ascii_digit_is_a_syntax_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "2\u00b2")
         assert code == 2 and out == ""

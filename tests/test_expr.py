@@ -15,10 +15,10 @@ from eprkit.exprparse import (
     Neg,
     RangeError,
     Sym,
-    infer_arity,
     parse_expr,
     to_element,
 )
+from eprkit.matrices import expr_matrix
 from eprkit.pauli import PauliWord
 
 ROUND_TRIP_CORPUS = [
@@ -43,7 +43,7 @@ ROUND_TRIP_CORPUS = [
 def typed(node):
     """A tree as nested tuples that name each node's type before its fields.
 
-    Tree nodes are tuples, so ``Sym("E01") == Lit("E01")``; comparing typed
+    Tree nodes are tuples, so ``Sym("E01") == Neg("E01")``; comparing typed
     trees tells the node types apart as well.
     """
     if isinstance(node, (Lit, Sym, Neg, BinOp)):
@@ -53,9 +53,9 @@ def typed(node):
 
 class TestParsing:
     def test_typed_trees_tell_node_types_apart(self):
-        assert Sym("E01") == Lit("E01")
-        assert typed(Sym("E01")) != typed(Lit("E01"))
-        assert typed(Neg(Sym("E01"))) != typed(Neg(Lit("E01")))
+        assert Sym("E01") == Neg("E01")
+        assert typed(Sym("E01")) != typed(Neg("E01"))
+        assert typed(Neg(Sym("E01"))) != typed(Neg(Neg("E01")))
 
     def test_simple_product(self):
         tree = parse_expr("E01*E02")
@@ -70,14 +70,20 @@ class TestParsing:
             "-", BinOp("-", Sym("E01"), Sym("E02")), Sym("E03")))
 
     def test_fraction_literal(self):
-        assert typed(parse_expr("3/4")) == typed(Lit(Scalar(Fraction(3, 4))))
+        assert typed(parse_expr("3/4")) == typed(Lit(Scalar(Fraction(3, 4)), 2))
 
     def test_imaginary_unit(self):
-        assert typed(parse_expr("i")) == typed(Lit(Scalar(0, 1)))
+        assert typed(parse_expr("i")) == typed(Lit(Scalar(0, 1), 2))
 
     def test_unary_minus(self):
         assert typed(parse_expr("-E01")) == typed(Neg(Sym("E01")))
-        assert typed(parse_expr("--2")) == typed(Neg(Neg(Lit(Scalar(2)))))
+        assert typed(parse_expr("--2")) == typed(Neg(Neg(Lit(Scalar(2), 2))))
+
+    def test_literals_carry_the_arity_of_the_text(self):
+        assert typed(parse_expr("I")) == typed(Lit(ONE, 2))
+        assert typed(parse_expr("2*e1 + I")) == typed(BinOp(
+            "+", BinOp("*", Lit(Scalar(2), 1), Sym("e1")), Lit(ONE, 1)))
+        assert typed(parse_expr("(i - psi)")) == typed(BinOp("-", Lit(IM, 2), Sym("psi")))
 
     def test_whitespace_insignificant(self):
         assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
@@ -162,21 +168,35 @@ class TestRoundTrip:
 
 
 class TestArity:
-    def test_two_site_symbols(self):
-        assert infer_arity(parse_expr("E01+psi")) == 2
+    """Both routes evaluate a parsed text at the arity the parser gave it."""
 
-    def test_single_site_symbols(self):
-        assert infer_arity(parse_expr("e1*e2")) == 1
+    @staticmethod
+    def arity(text, singlet):
+        tree = parse_expr(text)
+        arity = to_element(tree, psi=singlet.psi).arity
+        assert expr_matrix(tree).dim == 2 ** arity
+        return arity
 
-    def test_default_when_unconstrained(self):
-        assert infer_arity(parse_expr("2+i")) == 2
-        assert infer_arity(parse_expr("I")) == 2
+    def test_two_site_symbols(self, singlet):
+        assert self.arity("E01+psi", singlet) == 2
+
+    def test_single_site_symbols(self, singlet):
+        assert self.arity("e1*e2", singlet) == 1
+        assert self.arity("e1 + I", singlet) == 1
+
+    def test_default_when_unconstrained(self, singlet):
+        assert self.arity("2+i", singlet) == 2
+        assert self.arity("I", singlet) == 2
 
     def test_conflict(self):
         with pytest.raises(ArityConflictError):
-            to_element(parse_expr("e1*E01"))
+            parse_expr("e1*E01")
         with pytest.raises(ArityConflictError):
-            to_element(parse_expr("psi + e2"))
+            parse_expr("psi + e2")
+        # The conflict is raised once the text has parsed: a syntax error comes first.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("e1*E01 + )")
+        assert info.value.offset == 9
 
 
 class TestEvaluation:
