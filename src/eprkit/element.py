@@ -4,9 +4,10 @@ Every identity the suite decides reduces to "is this element literally
 zero?", so no floating arithmetic ever enters this module.  An element
 stores Gaussian-integer numerators ``(re, im)`` per word over one positive
 denominator shared by all its terms, and is kept in canonical form (zero
-terms pruned, words in lexicographic order, a single gcd divided out of the
-denominator and every numerator), which makes equality plain structural
-equality.  An element is built from words and then arithmetic.
+terms pruned and a single gcd divided out of the denominator and every
+numerator), which makes equality plain structural equality.  Words carry no
+order; they are listed in lexicographic order wherever terms are read.  An
+element is built from words and then arithmetic.
 :class:`Scalar`, a pair of :class:`fractions.Fraction` values, is the public
 single-value type: coefficients are built as scalars when read.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Union
 
 from .pauli import ArityMismatchError, PauliWord, mul_words
@@ -165,9 +165,9 @@ class Element:
 
     Stored as Gaussian-integer numerators ``(re, im)`` per word over one
     positive denominator shared by the whole element.  No stored pair is
-    ``(0, 0)``, words are kept in sorted order, and the denominator and all
-    numerators have no common factor, so two elements are equal exactly when
-    their arity, denominator and numerators are.
+    ``(0, 0)`` and the denominator and all numerators have no common factor,
+    so two elements are equal exactly when their arity, denominator and
+    numerators are.  :attr:`terms` lists the words in lexicographic order.
 
     An element is built from words (:meth:`from_word`, :meth:`scalar`,
     :meth:`one`, :meth:`zero`, :func:`E`, :func:`e`) and then arithmetic.
@@ -273,12 +273,6 @@ class Element:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        unit = o._unit()
-        if unit is not None:
-            return self._relabel(*unit, True)
-        unit = self._unit()
-        if unit is not None:
-            return o._relabel(*unit, False)
         acc: dict[PauliWord, tuple[int, int]] = {}
         get = acc.get
         right = o._num.items()
@@ -290,36 +284,13 @@ class Element:
                     re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
                 old = get(w)
                 acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        return Element._new(self._arity, *_canonical(self._den * o._den, acc))
+        den = self._den * o._den
+        if (self._den, *self._num.values()) in _UNITS or (o._den, *o._num.values()) in _UNITS:
+            return Element._new(self._arity, den, acc)
+        return Element._new(self._arity, *_canonical(den, acc))
 
     # Only a scalar reaches this: a multiple of the identity word commutes with every word.
     __rmul__ = __mul__
-
-    def _unit(self) -> "tuple[PauliWord, int] | None":
-        """``(word, u)`` when this element is ``i**u * word``, else None."""
-        if self._den != 1 or len(self._num) != 1:
-            return None
-        (word, pair), = self._num.items()
-        u = _UNITS.get(pair)
-        return None if u is None else (word, u)
-
-    def _relabel(self, word: PauliWord, u: int, on_right: bool) -> "Element":
-        """``self * i**u * word`` (``i**u * word * self`` when not ``on_right``).
-
-        Multiplying by one word maps words one to one, so no two terms meet,
-        and a unit leaves every gcd as it was: each term moves to its product
-        word with its numerator rotated, and only the order of words is restored.
-        """
-        num: dict[PauliWord, tuple[int, int]] = {}
-        for w, (re, im) in self._num.items():
-            k, v = mul_words(w, word) if on_right else mul_words(word, w)
-            k = (k + u) % 4
-            if k:  # times i**k
-                re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-            num[v] = (re, im)
-        if len(num) > 1:
-            num = dict(sorted(num.items(), key=_word))
-        return Element._new(self._arity, self._den, num)
 
     def __truediv__(self, other: object) -> "Element":
         s = Scalar._coerce(other)
@@ -341,7 +312,7 @@ class Element:
     def __hash__(self) -> int:
         if self._num.keys() <= {PauliWord.identity(self._arity)}:
             return hash(self.trace_normalized())  # equal to its scalar, so hash alike
-        return hash((self._arity, self._den, tuple(self._num.items())))
+        return hash((self._arity, self._den, frozenset(self._num.items())))
 
     def trace_normalized(self) -> Scalar:
         """Coefficient of the identity word, i.e. trace divided by 2**arity."""
@@ -369,16 +340,15 @@ def _gaussian(s: Scalar) -> tuple[int, int, int]:
     return d, s.re.numerator * (d // s.re.denominator), s.im.numerator * (d // s.im.denominator)
 
 
-_word = itemgetter(0)
-
-# The numerator of i**u, for the unit multiples of a word, keyed to u.
-_UNITS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+# ``(den, pair)`` of a unit ``i**u * word``.  A product with a unit maps words
+# one to one and leaves every gcd as it was, so it is already canonical.
+_UNITS = {(1, (1, 0)), (1, (0, 1)), (1, (-1, 0)), (1, (0, -1))}
 
 
 def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]
                ) -> tuple[int, dict[PauliWord, tuple[int, int]]]:
-    """Zero pairs pruned, words sorted, and one gcd taken out of everything."""
-    num = {w: pair for w, pair in sorted(num.items(), key=_word) if pair != (0, 0)}
+    """Zero pairs pruned and one gcd taken out of everything; words keep no order."""
+    num = {w: pair for w, pair in num.items() if pair != (0, 0)}
     g = gcd(den, *(x for pair in num.values() for x in pair))
     if g == 1:
         return den, num
@@ -386,7 +356,7 @@ def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]
 
 
 class _Terms(Mapping):
-    """Read-only word -> Scalar view of an element; coefficients are built when read."""
+    """Read-only word -> Scalar view in word order; coefficients are built when read."""
 
     __slots__ = ("_den", "_num")
 
@@ -398,7 +368,7 @@ class _Terms(Mapping):
         return Scalar(Fraction(re, self._den), Fraction(im, self._den))
 
     def __iter__(self) -> Iterator[PauliWord]:
-        return iter(self._num)
+        return iter(sorted(self._num))
 
     def __len__(self) -> int:
         return len(self._num)

@@ -89,9 +89,6 @@ class IdentityCheck(NamedTuple):
     def ok(self) -> bool:
         return self.status == self.expected and self.oracle_ok
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class Claim(NamedTuple):
     """One row of the claim table: ``lhs = rhs`` in the expression grammar."""
@@ -449,7 +446,7 @@ class VerificationReport(NamedTuple):
         return [c.name for c in self.checks if not c.ok]
 
     def to_dict(self) -> dict:
-        return {**self._asdict(), "checks": [c.to_dict() for c in self.checks]}
+        return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

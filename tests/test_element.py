@@ -165,7 +165,8 @@ scalars = st.builds(
     st.sampled_from(SMALL_RATIONALS),
 )
 
-# i**u times one word: a product with one of these relabels the other factor.
+# i**u times one word: a product with one of these maps the other factor's words
+# one to one and keeps its gcd, so it is canonical without a second pass.
 unit_words = st.builds(Element.from_word, st.sampled_from(WORDS2), st.sampled_from(PHASES))
 
 
@@ -185,13 +186,16 @@ elements = st.one_of(
 
 @given(elements, elements, elements)
 def test_mul_is_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    lhs, rhs = (a * b) * c, a * (b * c)
+    assert lhs == rhs
+    assert hash(lhs) == hash(rhs)  # the two sides build their words in different orders
 
 
 @given(elements, elements, elements)
 def test_mul_distributes_over_add(a, b, c):
-    assert a * (b + c) == a * b + a * c
-    assert (a + b) * c == a * c + b * c
+    for lhs, rhs in [(a * (b + c), a * b + a * c), ((a + b) * c, a * c + b * c)]:
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
 
 
 @given(elements, elements)
@@ -295,6 +299,9 @@ def test_binary_operations_match_the_reference(a, b):
 
 @given(wide_elements, unit_words)
 @example(E(0, 1) + 2 * E(1, 0), E(1, 1))  # E01*E11 = E10 and E10*E11 = E01 swap places
+@example(Element.zero(2), -IM * E(1, 2))  # the canonical zero, denominator 1
+@example(E(0, 1) / 2 - IM * E(2, 3) + 3, Element.scalar(IM, 2))
+@example(IM * E(1, 2), -E(2, 1))  # a unit times a unit
 def test_a_product_by_a_unit_word_relabels_the_terms(a, u):
     for product, reference in [(a * u, ref_mul(a.terms, u.terms)),
                                (u * a, ref_mul(u.terms, a.terms))]:
