@@ -7,114 +7,46 @@ psi and its projector, enumerates the basic anticommuting triples, and runs
 a battery of strict and mod-psi identity checks against an independent
 exact matrix representation.  The :mod:`eprkit.cli` module wires it all into
 scriptable commands.
+
+Importing the package loads none of its modules: each public name is looked
+up in its home module on first use (PEP 562), so ``from eprkit import E``
+loads ``pauli`` and ``element`` and nothing else.
 """
 
-from .element import (
-    E,
-    Element,
-    IM,
-    ONE,
-    PrintLimitError,
-    Scalar,
-    ZERO,
-    e,
-)
-from .epr import (
-    ClassicalAssignment,
-    FallacyReport,
-    FallacyStep,
-    IdentityCheck,
-    VerificationReport,
-    all_assignments,
-    classical_assignment_search,
-    constraint_flags,
-    fallacy_trace,
-    run_full_report,
-    verify_combined_elements,
-    verify_constraint_family,
-    verify_derived_identities,
-    verify_product_constraint,
-    verify_resolution,
-    verify_singlet_constraints,
-    verify_singlet_construction,
-)
-from .exprparse import (
-    ArityConflictError,
-    ExprError,
-    ExprSyntaxError,
-    RangeError,
-    parse_expr,
-    to_element,
-)
-from .matrices import (
-    DimensionMismatchError,
-    approx_equal,
-    element_matrix,
-    word_matrix,
-)
-from .pauli import ArityMismatchError, PauliWord, commute_sign, compose_letters, mul_words
-from .singlet import NotAnInvolutionError, SingletState, build_singlet
-from .triples import (
-    BasicTriple,
-    DiffReport,
-    PAPER_BASIC_SETS,
-    build_incidence,
-    diff_with_paper_list,
-    enumerate_basic_triples,
-    nontrivial_words,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityConflictError",
-    "ArityMismatchError",
-    "BasicTriple",
-    "ClassicalAssignment",
-    "DiffReport",
-    "DimensionMismatchError",
-    "E",
-    "Element",
-    "ExprError",
-    "ExprSyntaxError",
-    "FallacyReport",
-    "FallacyStep",
-    "IM",
-    "IdentityCheck",
-    "NotAnInvolutionError",
-    "ONE",
-    "PAPER_BASIC_SETS",
-    "PauliWord",
-    "PrintLimitError",
-    "RangeError",
-    "Scalar",
-    "SingletState",
-    "VerificationReport",
-    "ZERO",
-    "all_assignments",
-    "approx_equal",
-    "build_incidence",
-    "build_singlet",
-    "classical_assignment_search",
-    "commute_sign",
-    "compose_letters",
-    "constraint_flags",
-    "diff_with_paper_list",
-    "e",
-    "element_matrix",
-    "enumerate_basic_triples",
-    "fallacy_trace",
-    "mul_words",
-    "nontrivial_words",
-    "parse_expr",
-    "run_full_report",
-    "to_element",
-    "verify_combined_elements",
-    "verify_constraint_family",
-    "verify_derived_identities",
-    "verify_product_constraint",
-    "verify_resolution",
-    "verify_singlet_constraints",
-    "verify_singlet_construction",
-    "word_matrix",
-]
+_EXPORTS = {
+    "element": ("E", "Element", "IM", "ONE", "PrintLimitError", "Scalar", "ZERO", "e"),
+    "epr": ("ClassicalAssignment", "FallacyReport", "FallacyStep", "IdentityCheck",
+            "VerificationReport", "all_assignments", "classical_assignment_search",
+            "constraint_flags", "fallacy_trace", "run_full_report",
+            "verify_combined_elements", "verify_constraint_family",
+            "verify_derived_identities", "verify_product_constraint", "verify_resolution",
+            "verify_singlet_constraints", "verify_singlet_construction"),
+    "exprparse": ("ArityConflictError", "ExprError", "ExprSyntaxError", "RangeError",
+                  "parse_expr", "to_element"),
+    "matrices": ("DimensionMismatchError", "approx_equal", "element_matrix", "word_matrix"),
+    "pauli": ("ArityMismatchError", "PauliWord", "commute_sign", "compose_letters",
+              "mul_words"),
+    "singlet": ("NotAnInvolutionError", "SingletState", "build_singlet"),
+    "triples": ("BasicTriple", "DiffReport", "PAPER_BASIC_SETS", "build_incidence",
+                "diff_with_paper_list", "enumerate_basic_triples", "nontrivial_words"),
+}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Nothing is bound here, so every lookup reads the home module's current
+    # value: a function replaced there (say, wrapped by a tracer and later
+    # restored) is never left behind under the package name.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOME[name]), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,19 +6,16 @@ both probability conventions for an expression), ``triples`` (deterministic
 listing of the basic sets, optionally diffed against the published list),
 ``peres`` (the 16-row classical assignment table), and ``eval`` (canonical
 form of an expression).  Exit code 2 signals a usage or internal error.
+
+Each handler imports what it runs, so a cold command loads only its own
+modules: ``eval`` and ``expect`` the expression and singlet layers,
+``triples`` the enumeration over words, ``verify`` and ``peres`` the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .element import PrintLimitError
-from .epr import classical_assignment_search, constraint_flags, all_assignments, \
-    run_full_report
-from .exprparse import ExprError, parse_expr, to_element
-from .singlet import NotAnInvolutionError, build_singlet
-from .triples import diff_with_paper_list, enumerate_basic_triples
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .epr import run_full_report
+
     report = run_full_report(fault="corrupt-singlet" if args.inject_fault else None)
     text = report.to_json() if args.format == "json" else report.to_markdown()
     sys.stdout.write(text)
@@ -62,6 +61,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
+    from .exprparse import parse_expr, to_element
+    from .singlet import NotAnInvolutionError, build_singlet
+
     s = build_singlet()
     el = to_element(parse_expr(args.expr), psi=s.psi)
     if el.arity != 2:
@@ -79,6 +81,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def _cmd_triples(args: argparse.Namespace) -> int:
+    from .triples import diff_with_paper_list, enumerate_basic_triples
+
     found = enumerate_basic_triples()
     for t in found:
         cyc = ", ".join(w.name for w in t.cyclic)
@@ -100,6 +104,8 @@ def _cmd_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_peres(_: argparse.Namespace) -> int:
+    from .epr import all_assignments, classical_assignment_search, constraint_flags
+
     print("m(E01) m(E10) m(E02) m(E20) | opposite_x opposite_y opposite_products | all")
     satisfying = 0
     for a in all_assignments():
@@ -117,6 +123,9 @@ def _cmd_peres(_: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .exprparse import parse_expr, to_element
+    from .singlet import build_singlet
+
     print(to_element(parse_expr(args.expr), psi=build_singlet().psi))
     return 0
 
@@ -151,15 +160,17 @@ def main(argv: list[str] | None = None) -> int:
         list(sys.argv[1:]) if argv is None else list(argv)))
     try:
         return _HANDLERS[args.command](args)
-    except (ExprError, PrintLimitError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except RecursionError:  # the parser and the tree walk recurse on nesting
         print("ExprError: expression nests too deeply to evaluate "
               f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - exit code 2 contract
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Only a command that has loaded these modules can raise their errors.
+        from .element import PrintLimitError
+        from .exprparse import ExprError
+
+        prefix = "" if isinstance(exc, (ExprError, PrintLimitError)) else "internal error: "
+        print(f"{prefix}{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

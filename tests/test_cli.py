@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from eprkit import cli
 from eprkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,27 +226,24 @@ def test_module_entry_point_runs():
     assert result.stdout.strip() == "i*E12"
 
 
-# Block numpy before anything imports it: "import numpy" then raises.
-WITHOUT_NUMPY = """
+# Block modules before anything imports them, then run the CLI: "import name"
+# raises for each name in the comma-separated first argument.
+BLOCKED = """
 import sys
-sys.modules["numpy"] = None
+for name in sys.argv[1].split(","):
+    sys.modules[name] = None
 from eprkit.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-# Block the modules a lean import must not load.
-WITHOUT_DATACLASSES = """
-import sys
-sys.modules["dataclasses"] = sys.modules["inspect"] = None
-from eprkit.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
+def run_blocked(blocked, *argv):
+    return subprocess.run([sys.executable, "-c", BLOCKED, ",".join(blocked), *argv],
+                          capture_output=True, text=True, check=False)
 
 
 def test_runs_without_dataclasses_or_inspect():
-    result = subprocess.run([sys.executable, "-c", WITHOUT_DATACLASSES, "eval", "E01*E02"],
-                            capture_output=True, text=True, check=False)
+    result = run_blocked(("dataclasses", "inspect"), "eval", "E01*E02")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "i*E03\n"
 
@@ -254,8 +252,47 @@ def test_runs_without_dataclasses_or_inspect():
                                   ("triples", "--diff-paper"), ("peres",)],
                          ids=lambda argv: argv[0])
 def test_runs_without_numpy(argv):
-    result = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv],
-                            capture_output=True, text=True, check=False)
+    result = run_blocked(("numpy",), *argv)
     assert result.returncode == 0, result.stderr
     if argv == ("verify",):
         assert result.stdout == (GOLDEN / "report.json").read_text(encoding="utf-8")
+
+
+REPORT_MODULES = ("eprkit.epr", "eprkit.matrices", "json")
+EXPR_MODULES = ("eprkit.element", "eprkit.exprparse", "eprkit.singlet")
+
+
+@pytest.mark.parametrize("name, blocked",
+                         [("eval", (*REPORT_MODULES, "eprkit.triples")),
+                          ("expect", (*REPORT_MODULES, "eprkit.triples")),
+                          ("triples", REPORT_MODULES + EXPR_MODULES)],
+                         ids=["eval", "expect", "triples"])
+def test_command_runs_without_the_modules_it_does_not_need(name, blocked):
+    expected = Path(__file__).parent.parent / "perfbench" / "expected_cli.json"
+    case = next(c for c in json.loads(expected.read_text(encoding="utf-8"))["commands"]
+                if c["name"] == name)
+    result = run_blocked(blocked, *case["argv"])
+    assert (result.returncode, result.stderr) == (case["exit"], "")
+    assert result.stdout == case["stdout"]
+
+
+class TestExitTwo:
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(_):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli._HANDLERS, "peres", broken)
+        code, out, err = run_cli(capsys, "peres")
+        assert (code, out) == (2, "")
+        assert err == "internal error: KeyError: 'missing'\n"
+
+    # A fresh process, so the handler loads the modules whose errors main names.
+    @pytest.mark.parametrize("argv, err", [
+        (("eval", "E01+"), "ExprSyntaxError: unexpected 'end of input' (offset 4)\n"),
+        (("expect", f"{BIG}*{BIG}*E11"),
+         "PrintLimitError: a coefficient of 6001 digits is too long to print\n"),
+    ], ids=["syntax", "print limit"])
+    def test_expression_errors_are_named_in_a_fresh_process(self, argv, err):
+        result = subprocess.run([sys.executable, "-m", "eprkit", *argv],
+                                capture_output=True, text=True, check=False)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
