@@ -263,23 +263,25 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
     and ``word`` receives the same tuple each time, so it may cache on it.
     """
     def ev(n: Expr) -> T:
-        if isinstance(n, Lit):
+        kind = type(n)  # exact node types only: a plain tuple is no node
+        if kind is BinOp:
+            left, right = ev(n.left), ev(n.right)
+            op = n.op
+            if op == "*":
+                return left * right
+            if op == "+":
+                return left + right
+            return left - right
+        if kind is Lit:
             return scalar(n.value, n.arity)
-        if isinstance(n, Sym):
+        if kind is Sym:
             if n.name == "psi":
                 if psi is None:
                     raise ExprError("psi is not available in this context")
                 return psi
             return word(_letters(n.name))
-        if isinstance(n, Neg):
+        if kind is Neg:
             return -ev(n.arg)
-        if isinstance(n, BinOp):
-            left, right = ev(n.left), ev(n.right)
-            if n.op == "+":
-                return left + right
-            if n.op == "-":
-                return left - right
-            return left * right
         raise TypeError(f"not an expression node: {n!r}")
 
     return ev(node)

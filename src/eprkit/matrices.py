@@ -66,6 +66,13 @@ class Matrix:
         m._set(dim, den, rows)
         return m
 
+    @classmethod
+    def _built(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
+        """A matrix from parts already in canonical form, stored as they are."""
+        m = object.__new__(cls)
+        m._dim, m._den, m._rows = dim, den, tuple(rows)
+        return m
+
     def _set(self, dim: int, den: int, rows: list[Row]) -> None:
         """Store the parts in canonical form: zeros pruned, one gcd taken out."""
         rows = [row if (0, 0) not in row.values() else
@@ -81,7 +88,9 @@ class Matrix:
         """``re + i*im`` times the identity matrix of dimension ``dim``."""
         den = lcm(re.denominator, im.denominator)
         entry = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        return cls._new(dim, den, [{r: entry} for r in range(dim)])
+        # lcm leaves no factor common to den and both parts; only zero needs pruning.
+        build = cls._new if entry == (0, 0) else cls._built
+        return build(dim, den, [{r: entry} for r in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -134,6 +143,7 @@ class Matrix:
             return NotImplemented
         right = other._rows
         rows = []
+        summed = False
         for row in self._rows:
             acc: Row = {}
             get = acc.get
@@ -141,16 +151,24 @@ class Matrix:
                 for c, (br, bi) in right[k].items():
                     re, im = ar * br - ai * bi, ar * bi + ai * br
                     old = get(c)
-                    acc[c] = (re, im) if old is None else (old[0] + re, old[1] + im)
+                    if old is None:
+                        acc[c] = (re, im)
+                    else:
+                        acc[c] = (old[0] + re, old[1] + im)
+                        summed = True
             rows.append(acc)
-        return Matrix._new(self._dim, self._den * other._den, rows)
+        den = self._den * other._den
+        if den == 1 and not summed:  # so each entry is one product of nonzero parts
+            return Matrix._built(self._dim, 1, rows)
+        return Matrix._new(self._dim, den, rows)
 
     def times_i(self, k: int) -> "Matrix":
         """``i**k`` times this matrix: a swap of the parts, a negation, or both."""
         k %= 4
         if not k:
             return self
-        return Matrix._new(self._dim, self._den, [
+        # Parts swapped or negated: no entry becomes zero and no gcd changes.
+        return Matrix._built(self._dim, self._den, [
             {c: (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
              for c, (re, im) in row.items()}
             for row in self._rows])
@@ -161,7 +179,10 @@ class Matrix:
         rows = [{ca * d + cb: (ar * br - ai * bi, ar * bi + ai * br)
                  for ca, (ar, ai) in ra.items() for cb, (br, bi) in rb.items()}
                 for ra in self._rows for rb in other._rows]
-        return Matrix._new(self._dim * d, self._den * other._den, rows)
+        den = self._den * other._den
+        if den == 1:  # no entry is summed, so each is one product of nonzero parts
+            return Matrix._built(self._dim * d, 1, rows)
+        return Matrix._new(self._dim * d, den, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):

@@ -79,6 +79,9 @@ class PauliWord(tuple):
 
     @classmethod
     def identity(cls, arity: int) -> "PauliWord":
+        """The unit word; the one- and two-site units are built once and shared."""
+        if 1 <= arity <= 2:
+            return _UNIT_WORDS[arity - 1]
         return cls((0,) * arity)
 
     @property
@@ -103,6 +106,9 @@ class PauliWord(tuple):
     def __str__(self) -> str:
         return self.name
 
+
+# The units identity() shares: one and two sites, the arities _PRODUCTS holds.
+_UNIT_WORDS = (PauliWord((0,)), PauliWord((0, 0)))
 
 # (a, b) -> (k, word) with a*b = i**k * word, filled by mul_words from
 # compose_letters; keyed only by validated PauliWords of at most two sites.

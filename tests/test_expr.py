@@ -18,7 +18,7 @@ from eprkit.exprparse import (
     parse_expr,
     to_element,
 )
-from eprkit.matrices import expr_matrix
+from eprkit.matrices import element_matrix, expr_matrix
 from eprkit.pauli import PauliWord
 
 ROUND_TRIP_CORPUS = [
@@ -260,6 +260,31 @@ class TestEvaluation:
     def test_scalar_only_expression(self):
         assert to_element(parse_expr("2 - 3/4*i")) == \
             Element.scalar(Scalar(2, Fraction(-3, 4)), 2)
+
+    def test_a_plain_tuple_is_no_node_on_either_route(self):
+        # It equals the BinOp of the same fields, but only the node types evaluate.
+        fake = ("*", Sym("E01"), Sym("E02"))
+        assert fake == BinOp("*", Sym("E01"), Sym("E02"))
+        for evaluate in (to_element, expr_matrix):
+            with pytest.raises(TypeError, match="not an expression node"):
+                evaluate(fake)
+            with pytest.raises(TypeError, match="not an expression node"):
+                evaluate(BinOp("+", Sym("E01"), fake))
+
+    def test_negation_sum_and_difference_agree_on_both_routes(self, singlet):
+        cases = {
+            "-E12": -E(1, 2),
+            "--E12": E(1, 2),
+            "E01 + E10": E(0, 1) + E(1, 0),
+            "E01 - E10 - E01": -E(1, 0),
+            "-(1/2*E11 - i) + E22*-E33": -E(1, 1) / 2 + IM - E(2, 2) * E(3, 3),
+            "2/3 - -(E03 - psi)": Element.scalar(Fraction(2, 3), 2) + E(0, 3) - singlet.psi,
+            "-e1 + e2 - (e3 - -e0)": -e(1) + e(2) - e(3) - e(0),
+        }
+        for text, expected in cases.items():
+            tree = parse_expr(text)
+            assert to_element(tree, psi=singlet.psi) == expected, text
+            assert expr_matrix(tree) == element_matrix(expected), text
 
     def test_printed_elements_reparse_to_the_same_element(self, singlet):
         samples = [

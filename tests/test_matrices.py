@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eprkit import matrices
 from eprkit.element import E, Element, IM
@@ -128,6 +129,54 @@ class TestMatrix:
             Matrix([[0.5]])
         with pytest.raises(ValueError):
             Matrix([[1, 0]])
+
+
+def rebuilt(m):
+    """``m``'s parts passed once more through the canonicalizing ``_set``."""
+    return Matrix._new(m.dim, m._den, list(m._rows))
+
+
+# Four-dimensional matrices of three kinds: a word matrix times a unit (the
+# products that are kept as built), small Gaussian-integer matrices (whose
+# products sum entries and can cancel them), and either kind scaled by a
+# rational (denominators above 1).
+small = st.integers(-2, 2)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+unit_word_matrices = st.builds(lambda w, k: word_matrix(w).times_i(k),
+                               st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.integers(0, 3))
+integer_matrices = st.lists(st.lists(st.builds(complex, small, small), min_size=4, max_size=4),
+                            min_size=4, max_size=4).map(Matrix)
+scaled_matrices = st.builds(lambda m, re, im: Matrix.scalar(4, re, im) * m,
+                            st.one_of(unit_word_matrices, integer_matrices), rationals, rationals)
+any_matrices = st.one_of(unit_word_matrices, integer_matrices, scaled_matrices)
+
+ONE_PLUS_E01, ONE_MINUS_E01 = Matrix.scalar(4) + E01_MATRIX, Matrix.scalar(4) - E01_MATRIX
+HALF_E01 = Matrix.scalar(4, Fraction(1, 2)) * E01_MATRIX
+TWO_E02 = Matrix.scalar(4, 2) * E02_MATRIX
+
+
+@given(any_matrices, any_matrices, st.integers(0, 3), rationals, rationals)
+@example(ONE_PLUS_E01, ONE_MINUS_E01, 1, Fraction(0), Fraction(0))  # every entry cancels; zero
+@example(HALF_E01, TWO_E02, 2, Fraction(1, 2), Fraction(0))  # denominators with a common factor
+@example(word_matrix((1, 2)), word_matrix((2, 1)), 3, Fraction(-3, 4), Fraction(1, 6))
+def test_every_result_is_stored_canonical(a, b, k, re, im):
+    assert rebuilt(a) == a
+    results = [a * b, b * a, a + b, a - b, -a, a.times_i(k), a.kron(b), b.kron(a),
+               Matrix.scalar(4, re, im), Matrix.scalar(2, re)]
+    for m in results:
+        assert rebuilt(m) == m
+
+
+def test_the_canonical_shortcut_cases():
+    # Entries summed to zero, denominators sharing a factor, the zero scalar.
+    assert ONE_PLUS_E01 * ONE_MINUS_E01 == Matrix.scalar(4, 0)
+    assert (ONE_PLUS_E01 * ONE_MINUS_E01)._rows == ({},) * 4
+    product = HALF_E01 * TWO_E02
+    assert product == word_matrix((0, 3)).times_i(1) and product._den == 1
+    assert HALF_E01.kron(TWO_E02) == word_matrix((0, 1, 0, 2))
+    assert Matrix.scalar(2, Fraction(0), Fraction(0))._rows == ({}, {})
+    assert Matrix.scalar(2, Fraction(2, 4), Fraction(-1, 6))._den == 6
 
 
 class TestElementMatrix:

@@ -115,6 +115,16 @@ class TestPauliWord:
         assert PauliWord.identity(2) == PauliWord((0, 0))
         assert PauliWord.identity(2).is_identity
 
+    def test_one_and_two_site_units_are_shared(self):
+        assert PauliWord.identity(1) is PauliWord.identity(1) == PauliWord((0,))
+        assert PauliWord.identity(2) is PauliWord.identity(2)
+        three = PauliWord.identity(3)
+        assert type(three) is PauliWord and three == (0, 0, 0) and three.is_identity
+        assert PauliWord.identity(3) is not three  # built afresh: not stored
+        for arity in (0, -1):
+            with pytest.raises(ValueError):
+                PauliWord.identity(arity)
+
 
 class TestMulWords:
     def test_one_side_factors_combine(self):

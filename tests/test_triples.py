@@ -2,12 +2,15 @@
 
 import itertools
 
-from eprkit import triples
+import pytest
+
+from eprkit import pauli, triples
 from eprkit.element import Element, IM
 from eprkit.matrices import Matrix, approx_equal, word_matrix
-from eprkit.pauli import PauliWord, commute_sign
+from eprkit.pauli import PauliWord, commute_sign, mul_words
 from eprkit.triples import (
     PAPER_BASIC_SETS,
+    BasicTriple,
     build_incidence,
     diff_with_paper_list,
     enumerate_basic_triples,
@@ -37,6 +40,53 @@ def matrix_brute_force():
         if product in (i_eye, -i_eye):
             accepted.append(frozenset(combo))
     return accepted
+
+
+def pairwise_brute_force():
+    """The scan asking commute_sign about all three pairs of each of the 455 triples."""
+    accepted = []
+    for combo in itertools.combinations(nontrivial_words(), 3):
+        if any(commute_sign(x, y) == 1 for x, y in itertools.combinations(combo, 2)):
+            continue
+        k1, w1 = mul_words(combo[0], combo[1])
+        k2, w2 = mul_words(w1, combo[2])
+        if w2.is_identity and (k1 + k2) % 4 in (1, 3):
+            a, b, c = combo
+            cyclic = (a, b, c) if mul_words(a, b)[0] == 1 else (a, c, b)
+            accepted.append(BasicTriple(members=combo, cyclic=cyclic))
+    return accepted
+
+
+# Each cyclic letter product with its phase dropped, as the fault tests corrupt e1*e2.
+DROPPED_PHASES = [None, (1, 2), (2, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("dropped", DROPPED_PHASES)
+def test_the_pair_scan_matches_the_pairwise_brute_force(monkeypatch, dropped):
+    if dropped is not None:
+        original = pauli.compose_letters
+
+        def corrupted(a, b):
+            k, c = original(a, b)
+            return (0, c) if (a, b) == dropped else (k, c)
+
+        monkeypatch.setattr(pauli, "compose_letters", corrupted)
+    # Products folded by earlier tests come from the true rule; start from none.
+    monkeypatch.setattr(pauli, "_PRODUCTS", {})
+    assert enumerate_basic_triples() == pairwise_brute_force()
+
+
+def test_commute_sign_is_asked_once_per_word_pair(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commute_sign(a, b)
+
+    monkeypatch.setattr(triples, "commute_sign", counted)
+    assert len(enumerate_basic_triples()) == 20
+    assert len(calls) == 105
+    assert calls == list(itertools.combinations(nontrivial_words(), 2))
 
 
 def test_count_matches_matrix_oracle():
