@@ -273,6 +273,18 @@ class Element:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        den = self._den * o._den
+        if len(self._num) == 1 == len(o._num):
+            # One word product.  Two nonzero Gaussian integers give a nonzero
+            # pair, and over denominator 1 no gcd comes out: it is canonical.
+            [(wa, (ar, ai))], [(wb, (br, bi))] = self._num.items(), o._num.items()
+            k, w = mul_words(wa, wb)
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if k:
+                re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+            if den == 1:
+                return Element._new(self._arity, 1, {w: (re, im)})
+            return Element._new(self._arity, *_canonical(den, {w: (re, im)}))
         acc: dict[PauliWord, tuple[int, int]] = {}
         get = acc.get
         right = o._num.items()
@@ -284,7 +296,6 @@ class Element:
                     re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
                 old = get(w)
                 acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        den = self._den * o._den
         if (self._den, *self._num.values()) in _UNITS or (o._den, *o._num.values()) in _UNITS:
             return Element._new(self._arity, den, acc)
         return Element._new(self._arity, *_canonical(den, acc))

@@ -19,6 +19,11 @@ text with neither is two-site.  Every literal, ``i`` and ``I`` included, is
 built at that arity.  Single-site and two-site symbols cannot be mixed in
 one expression: :func:`parse_expr` raises :class:`ArityConflictError` once
 the text has parsed, so a syntax error takes precedence.
+
+The grammar's 21 fixed names (``E00``...``E33``, ``e0``...``e3``, ``psi``)
+are read from the symbol table :data:`_SYMBOLS`, one shared :class:`Sym`
+node per name.  Every other name is judged letter by letter, so a near miss
+such as ``E04`` or ``psi2`` raises the error the grammar gives it.
 """
 
 from __future__ import annotations
@@ -121,6 +126,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The symbol table: one shared node per fixed name of the grammar.
+_SYMBOLS = {name: Sym(name) for name in (
+    *(f"E{a}{b}" for a in "0123" for b in "0123"), *(f"e{k}" for k in "0123"), "psi")}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -130,96 +140,87 @@ class _Parser:
         self.mixed = len(arities) > 1
         self.arity = 1 if arities == {1} else 2
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect_op(self, op: str) -> None:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
         if kind != "op" or text != op:
             raise ExprSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}",
                                   offset)
-        self.advance()
+        self.pos += 1
 
     def expr(self) -> Expr:
         node = self.term()
+        tokens = self.tokens
         while True:
-            kind, text, _ = self.peek()
+            kind, text, _ = tokens[self.pos]
             if kind == "op" and text in "+-":
-                self.advance()
+                self.pos += 1
                 node = BinOp(text, node, self.term())
             else:
                 return node
 
     def term(self) -> Expr:
         node = self.factor()
+        tokens = self.tokens
         while True:
-            kind, text, _ = self.peek()
+            kind, text, _ = tokens[self.pos]
             if kind == "op" and text == "*":
-                self.advance()
+                self.pos += 1
                 node = BinOp("*", node, self.factor())
             else:
                 return node
 
     def factor(self) -> Expr:
-        kind, text, offset = self.peek()
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "name":
+            self.pos += 1
+            node = _SYMBOLS.get(text)
+            return self.symbol(text, offset) if node is None else node
         if kind == "op" and text == "-":
-            self.advance()
+            self.pos += 1
             return Neg(self.factor())
         if kind == "op" and text == "(":
-            self.advance()
+            self.pos += 1
             node = self.expr()
             self.expect_op(")")
             return node
         if kind == "num":
-            self.advance()
+            self.pos += 1
             value = Fraction(_integer(text, offset))
-            nk, nt, _ = self.peek()
+            nk, nt, _ = self.tokens[self.pos]
             if nk == "op" and nt == "/":
-                self.advance()
-                dk, dt, doff = self.peek()
+                self.pos += 1
+                dk, dt, doff = self.tokens[self.pos]
                 if dk != "num":
                     raise ExprSyntaxError("expected a digit after '/'", doff)
-                self.advance()
+                self.pos += 1
                 denominator = _integer(dt, doff)
                 if denominator == 0:
                     raise ExprSyntaxError("zero denominator", doff)
                 value /= denominator
             return Lit(Scalar(value), self.arity)
-        if kind == "name":
-            self.advance()
-            return self.symbol(text, offset)
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
 
-    def symbol(self, text: str, offset: int) -> Expr:
+    def symbol(self, text: str, offset: int) -> Lit:
+        """``i`` or ``I``; any other name here is not in :data:`_SYMBOLS`.
+
+        So it is an error: malformed, or well formed with a digit outside 0..3.
+        """
         if text in ("i", "I"):
             return Lit(IM if text == "i" else ONE, self.arity)
-        if text == "psi":
-            return Sym(text)
         if text[0] == "E":
             digits = text[1:]
             if len(digits) != 2 or not digits.isdigit():
                 raise ExprSyntaxError(
                     f"two-site symbols are E followed by two digits, got {text!r}",
                     offset)
-            if any(d not in "0123" for d in digits):
-                raise RangeError(f"two-site digits must be 0..3, got {text!r}",
-                                 offset)
-            return Sym(text)
+            raise RangeError(f"two-site digits must be 0..3, got {text!r}", offset)
         if text[0] == "e":
             digits = text[1:]
             if len(digits) != 1 or not digits.isdigit():
                 raise ExprSyntaxError(
                     f"single-site symbols are e followed by one digit, got {text!r}",
                     offset)
-            if digits not in "0123":
-                raise RangeError(f"single-site digit must be 0..3, got {text!r}",
-                                 offset)
-            return Sym(text)
+            raise RangeError(f"single-site digit must be 0..3, got {text!r}", offset)
         raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
 
 
@@ -236,7 +237,7 @@ def parse_expr(text: str) -> Expr:
     """Parse ``text`` into a tree, or raise an :class:`ExprError` subclass."""
     parser = _Parser(text)
     node = parser.expr()
-    kind, tok, offset = parser.peek()
+    kind, tok, offset = parser.tokens[parser.pos]
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {tok!r}", offset)
     if parser.mixed:

@@ -73,11 +73,6 @@ def nontrivial_words() -> list[PauliWord]:
     return [PauliWord(t) for t in itertools.product(range(4), repeat=2) if any(t)]
 
 
-def _cyclic_order(members):
-    a, b, c = members
-    return (a, b, c) if mul_words(a, b)[0] == 1 else (a, c, b)
-
-
 def enumerate_basic_triples() -> list[BasicTriple]:
     """Scan all unordered triples of nontrivial two-site words.
 
@@ -99,7 +94,9 @@ def enumerate_basic_triples() -> list[BasicTriple]:
         k2, w2 = mul_words(w1, c)
         if not w2.is_identity or (k1 + k2) % 4 not in (1, 3):
             continue
-        found.append(BasicTriple(members=combo, cyclic=_cyclic_order(combo)))
+        # a*b = i**k1 * c: the order is (a, b, c) when k1 is 1, else (b, a, c) read from a.
+        cyclic = (a, b, c) if k1 == 1 else (a, c, b)
+        found.append(BasicTriple(members=combo, cyclic=cyclic))
     return found
 
 

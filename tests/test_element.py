@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, e
+from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, _canonical, e
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord, commute_sign, mul_words
 
@@ -316,3 +316,27 @@ def test_unary_and_scalar_operations_match_the_reference(a, s):
     assert terms_of(a * s) == terms_of(s * a) == ref_map(ta, lambda c: c * s)
     if s:
         assert terms_of(a / s) == ref_map(ta, lambda c: c / s)
+
+
+def rebuilt(el):
+    """``el``'s parts passed once more through ``_canonical``."""
+    return Element._new(el.arity, *_canonical(el._den, dict(el._num)))
+
+
+# One word times a Gaussian rational whose parts share factors with their
+# denominators, so that a product of two can reduce: (1+i)/2 squared is i/2.
+one_term_elements = st.builds(Element.from_word, st.sampled_from(WORDS2), scalars)
+HALF_ONE_PLUS_I_E01 = Element.from_word(PauliWord((0, 1)), Scalar(Fraction(1, 2), Fraction(1, 2)))
+
+
+@given(one_term_elements, one_term_elements)
+@example(HALF_ONE_PLUS_I_E01, HALF_ONE_PLUS_I_E01)  # i/2: a gcd of 2 comes out
+@example(2 * E(0, 1), E(0, 1) / 2)  # 1: the denominator 2 goes
+@example(2 * E(0, 1), 3 * E(1, 2))  # denominator 1, kept as built
+def test_a_one_term_product_is_stored_canonical(a, b):
+    for x, y in [(a, b), (b, a)]:
+        product = x * y
+        assert rebuilt(product) == product
+        assert terms_of(product) == ref_mul(x.terms, y.terms)
+    assert element_matrix(a * b) == element_matrix(a) * element_matrix(b)
+

@@ -85,6 +85,13 @@ class TestParsing:
             "+", BinOp("*", Lit(Scalar(2), 1), Sym("e1")), Lit(ONE, 1)))
         assert typed(parse_expr("(i - psi)")) == typed(BinOp("-", Lit(IM, 2), Sym("psi")))
 
+    @pytest.mark.parametrize("name", [*(f"E{a}{b}" for a in range(4) for b in range(4)),
+                                      *(f"e{k}" for k in range(4)), "psi"])
+    def test_every_grammar_name_parses_to_its_symbol(self, name):
+        assert typed(parse_expr(name)) == typed(Sym(name))
+        assert typed(parse_expr(f"-{name}*{name}")) == typed(
+            BinOp("*", Neg(Sym(name)), Sym(name)))
+
     def test_whitespace_insignificant(self):
         assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
 
@@ -148,6 +155,28 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr(text)
         assert info.value.offset == offset
+
+    # A name the symbol table does not hold is still judged by the grammar:
+    # the same class, message and offset as before the table existed.
+    @pytest.mark.parametrize("text, error, offset, message", [
+        ("E04", RangeError, 0, "two-site digits must be 0..3, got 'E04'"),
+        ("E4", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'E4'"),
+        ("E012", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'E012'"),
+        ("Ex1", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'Ex1'"),
+        ("E\u00b2\u00b9", RangeError, 0, "two-site digits must be 0..3, got 'E\u00b2\u00b9'"),
+        ("e4", RangeError, 0, "single-site digit must be 0..3, got 'e4'"),
+        ("e01", ExprSyntaxError, 0, "single-site symbols are e followed by one digit, got 'e01'"),
+        ("psi2", ExprSyntaxError, 0, "unknown symbol 'psi2'"),
+        ("Psi", ExprSyntaxError, 0, "unknown symbol 'Psi'"),
+        ("1 + E31*E44", RangeError, 8, "two-site digits must be 0..3, got 'E44'"),
+        ("(E01 - e9)", RangeError, 7, "single-site digit must be 0..3, got 'e9'"),
+    ])
+    def test_near_misses_of_the_table_names(self, text, error, offset, message):
+        with pytest.raises(ExprError) as info:
+            parse_expr(text)
+        assert type(info.value) is error
+        assert info.value.offset == offset
+        assert str(info.value) == f"{message} (offset {offset})"
 
     @pytest.mark.parametrize("text, offset", [("1" + "0" * 5000, 0),
                                               ("1/" + "3" * 5000, 2)])

@@ -89,6 +89,34 @@ def test_commute_sign_is_asked_once_per_word_pair(monkeypatch):
     assert calls == list(itertools.combinations(nontrivial_words(), 2))
 
 
+# Frozen from the scan that multiplied a*b a second time for each accepted triple.
+CYCLIC_ORDERS = [
+    ("E01", "E02", "E03"), ("E01", "E12", "E13"), ("E01", "E22", "E23"),
+    ("E01", "E32", "E33"), ("E02", "E13", "E11"), ("E02", "E23", "E21"),
+    ("E02", "E33", "E31"), ("E03", "E11", "E12"), ("E03", "E21", "E22"),
+    ("E03", "E31", "E32"), ("E10", "E20", "E30"), ("E10", "E21", "E31"),
+    ("E10", "E22", "E32"), ("E10", "E23", "E33"), ("E11", "E20", "E31"),
+    ("E11", "E21", "E30"), ("E12", "E20", "E32"), ("E12", "E22", "E30"),
+    ("E13", "E20", "E33"), ("E13", "E23", "E30"),
+]
+
+
+def test_the_cyclic_order_comes_from_the_scan_product(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul_words(a, b)
+
+    # commute_sign reads pauli's binding, the scan its own.
+    monkeypatch.setattr(pauli, "mul_words", counted)
+    monkeypatch.setattr(triples, "mul_words", counted)
+    found = enumerate_basic_triples()
+    # Two per commute_sign (210), then a*b and (a*b)*c for the 80 anticommuting triples.
+    assert len(calls) == 370
+    assert [tuple(w.name for w in t.cyclic) for t in found] == CYCLIC_ORDERS
+
+
 def test_count_matches_matrix_oracle():
     oracle = matrix_brute_force()
     found = enumerate_basic_triples()
