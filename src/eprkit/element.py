@@ -3,11 +3,14 @@
 Every identity the suite decides reduces to "is this element literally
 zero?", so no floating arithmetic ever enters this module.  An element
 stores Gaussian-integer numerators ``(re, im)`` per word over one positive
-denominator shared by all its terms, and is kept in canonical form (zero
-terms pruned and a single gcd divided out of the denominator and every
-numerator), which makes equality plain structural equality.  Words carry no
-order; they are listed in lexicographic order wherever terms are read.  An
-element is built from words and then arithmetic.
+denominator shared by all its terms, and is kept in canonical form (no zero
+terms, and no factor common to the denominator and every numerator), which
+makes equality plain structural equality.  The gcd pass runs only where a
+sum has a word on both sides or a product has several terms.  Leaves,
+products with a unit factor and sums of distinct words cannot reduce and are
+stored as built; a one-word product takes the gcd of its single pair.
+Words carry no order; they are listed in lexicographic order wherever terms
+are read.  An element is built from words and then arithmetic.
 :class:`Scalar`, a pair of :class:`fractions.Fraction` values, is the public
 single-value type: coefficients are built as scalars when read.
 """
@@ -67,6 +70,13 @@ class Scalar:
             raise TypeError(f"scalar parts must be exact, got ({re!r}, {im!r})")
         self.re = Fraction(re)
         self.im = Fraction(im)
+
+    @classmethod
+    def _new(cls, re: Fraction, im: Fraction) -> "Scalar":
+        """A scalar from two Fractions, stored as given."""
+        s = object.__new__(cls)
+        s.re, s.im = re, im
+        return s
 
     @staticmethod
     def _coerce(value: object) -> "Scalar | None":
@@ -204,13 +214,18 @@ class Element:
         """The one-term element ``coeff*word``; a zero ``coeff`` gives zero.
 
         Every element but zero starts here and grows by arithmetic, so this
-        is the one place a scalar is turned into integer parts.
+        is the one place a scalar is turned into integer parts.  Those parts
+        are canonical as built: no gcd pass.
         """
         s = Scalar._coerce(coeff)
         if s is None:
             raise TypeError(f"coefficient {coeff!r} is not scalar-like")
         d, re, im = _gaussian(s)
-        return cls._new(word.arity, *_canonical(d, {word: (re, im)}))
+        if not (re or im):
+            return cls._new(word.arity, 1, {})
+        # The lcm of two reduced denominators shares no factor with both
+        # numerators, so the one pair is canonical as built.
+        return cls._new(word.arity, d, {word: (re, im)})
 
     @property
     def arity(self) -> int:
@@ -239,16 +254,34 @@ class Element:
         return Element.scalar(s, self._arity)
 
     def __add__(self, other: object) -> "Element":
+        """The sum over the lcm of the two denominators.
+
+        Only a word met on both sides can cancel or leave a common factor
+        (Henrici's rule for adding fractions), so a sum of distinct words is
+        stored as built and the gcd pass runs only after a collision.
+        """
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
         g = gcd(self._den, o._den)
         fa, fb = o._den // g, self._den // g  # bring both to the lcm
-        acc = {w: (re * fa, im * fa) for w, (re, im) in self._num.items()}
+        if fa == 1:
+            acc = dict(self._num)
+        else:
+            acc = {w: (re * fa, im * fa) for w, (re, im) in self._num.items()}
         get = acc.get
+        summed = False
         for w, (re, im) in o._num.items():
-            old = get(w, (0, 0))
-            acc[w] = (old[0] + re * fb, old[1] + im * fb)
+            old = get(w)
+            if old is None:
+                acc[w] = (re * fb, im * fb)
+            else:
+                acc[w] = (old[0] + re * fb, old[1] + im * fb)
+                summed = True
+        if not summed:
+            # No word met on both sides: nothing cancels, and since each side
+            # was reduced, every prime of the lcm misses some scaled numerator.
+            return Element._new(self._arity, self._den * fa, acc)
         return Element._new(self._arity, *_canonical(self._den * fa, acc))
 
     __radd__ = __add__
@@ -284,7 +317,10 @@ class Element:
                 re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
             if den == 1:
                 return Element._new(self._arity, 1, {w: (re, im)})
-            return Element._new(self._arity, *_canonical(den, {w: (re, im)}))
+            g = gcd(den, re, im)
+            if g != 1:
+                den, re, im = den // g, re // g, im // g
+            return Element._new(self._arity, den, {w: (re, im)})
         acc: dict[PauliWord, tuple[int, int]] = {}
         get = acc.get
         right = o._num.items()
@@ -358,7 +394,11 @@ _UNITS = {(1, (1, 0)), (1, (0, 1)), (1, (-1, 0)), (1, (0, -1))}
 
 def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]
                ) -> tuple[int, dict[PauliWord, tuple[int, int]]]:
-    """Zero pairs pruned and one gcd taken out of everything; words keep no order."""
+    """Zero pairs pruned and one gcd taken out of everything; words keep no order.
+
+    Run only on results that can reduce: a sum with a word on both sides, or
+    a product of several terms with no unit factor.
+    """
     num = {w: pair for w, pair in num.items() if pair != (0, 0)}
     g = gcd(den, *(x for pair in num.values() for x in pair))
     if g == 1:
@@ -376,7 +416,7 @@ class _Terms(Mapping):
 
     def __getitem__(self, word: PauliWord) -> Scalar:
         re, im = self._num[word]
-        return Scalar(Fraction(re, self._den), Fraction(im, self._den))
+        return Scalar._new(Fraction(re, self._den), Fraction(im, self._den))
 
     def __iter__(self) -> Iterator[PauliWord]:
         return iter(sorted(self._num))
@@ -396,10 +436,8 @@ def _format_term(word: PauliWord, coeff: Scalar) -> str:
     if word.is_identity and word.arity != 1:
         return f"({c})" if compound else c
     name = "e0" if word.is_identity else word.name
-    if coeff == ONE:
-        return name
-    if coeff == -ONE:
-        return f"-{name}"
+    if coeff.im == 0 and coeff.re in (1, -1):
+        return name if coeff.re == 1 else f"-{name}"
     if compound:
         return f"({c})*{name}"
     return f"{c}*{name}"

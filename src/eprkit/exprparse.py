@@ -185,7 +185,7 @@ class _Parser:
             return node
         if kind == "num":
             self.pos += 1
-            value = Fraction(_integer(text, offset))
+            value = _integer(text, offset)
             nk, nt, _ = self.tokens[self.pos]
             if nk == "op" and nt == "/":
                 self.pos += 1
@@ -196,7 +196,7 @@ class _Parser:
                 denominator = _integer(dt, doff)
                 if denominator == 0:
                     raise ExprSyntaxError("zero denominator", doff)
-                value /= denominator
+                value = Fraction(value, denominator)
             return Lit(Scalar(value), self.arity)
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
 
@@ -209,14 +209,14 @@ class _Parser:
             return Lit(IM if text == "i" else ONE, self.arity)
         if text[0] == "E":
             digits = text[1:]
-            if len(digits) != 2 or not digits.isdigit():
+            if len(digits) != 2 or not all("0" <= c <= "9" for c in digits):
                 raise ExprSyntaxError(
                     f"two-site symbols are E followed by two digits, got {text!r}",
                     offset)
             raise RangeError(f"two-site digits must be 0..3, got {text!r}", offset)
         if text[0] == "e":
             digits = text[1:]
-            if len(digits) != 1 or not digits.isdigit():
+            if len(digits) != 1 or not "0" <= digits <= "9":
                 raise ExprSyntaxError(
                     f"single-site symbols are e followed by one digit, got {text!r}",
                     offset)

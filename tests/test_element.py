@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, _canonical, e
+from eprkit.exprparse import parse_expr, to_element
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord, commute_sign, mul_words
 
@@ -340,3 +341,41 @@ def test_a_one_term_product_is_stored_canonical(a, b):
         assert terms_of(product) == ref_mul(x.terms, y.terms)
     assert element_matrix(a * b) == element_matrix(a) * element_matrix(b)
 
+
+
+@given(wide_elements, wide_elements, st.sampled_from(WORDS2), wide_scalars)
+@example(E(0, 1) / 6, E(0, 2) / 10, PauliWord((0, 1)), ONE)  # distinct words, lcm 30
+@example(E(0, 1) / 2, E(0, 1) / 2, PauliWord((0, 1)), ONE)  # a - b is zero over 1
+@example(E(0, 1) / 4, E(0, 1) / 4, PauliWord((0, 1)), ONE)  # a + b is E01/2
+@example(E(0, 1) / 6, E(0, 2) / 3, PauliWord((0, 1)), ONE)  # b's denominator divides a's
+@example(E(0, 1), E(0, 2), PauliWord((1, 2)), ZERO)  # the zero scalar
+def test_every_sum_is_stored_canonical(a, b, w, s):
+    ta, tb = a.terms, b.terms
+    for result, reference in [(a + b, ref_add(ta, tb)), (a - b, ref_add(ta, tb, -1)),
+                              (Element.from_word(w, s), _ref_canonical({w: s})),
+                              (Element.scalar(s, 2), _ref_canonical({PauliWord((0, 0)): s}))]:
+        assert rebuilt(result) == result
+        assert terms_of(result) == reference
+
+
+# Each branch of the printed term: unit coefficients, a coefficient that reduces
+# to one, imaginary units, the one-site identity, compound coefficients, zero.
+@pytest.mark.parametrize("text, printed", [
+    ("E12", "E12"), ("-E12", "-E12"), ("2/2*E12", "E12"), ("i*E12", "i*E12"),
+    ("-i*E12", "-i*E12"), ("-e0", "-e0"), ("-1*e0", "-e0"), ("1/2+i", "(1/2+i)"),
+    ("(1/2-i)*E12", "(1/2-i)*E12"), ("0*e0", "0*e0"),
+])
+def test_printed_terms(text, printed):
+    assert str(to_element(parse_expr(text))) == printed
+
+
+def test_printing_builds_no_negated_scalar(monkeypatch):
+    coeffs = [ONE, -ONE, IM, -IM, Scalar(Fraction(1, 2), -1), Scalar(-3, Fraction(2, 7))]
+    el = build({w: coeffs[k % len(coeffs)] for k, w in enumerate(WORDS2)})
+    assert len(el.terms) == 16
+    expected = str(el)
+
+    def refuse(self):
+        raise AssertionError("printing negated a scalar")
+    monkeypatch.setattr(Scalar, "__neg__", refuse)
+    assert str(el) == expected

@@ -163,7 +163,13 @@ class TestParseErrors:
         ("E4", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'E4'"),
         ("E012", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'E012'"),
         ("Ex1", ExprSyntaxError, 0, "two-site symbols are E followed by two digits, got 'Ex1'"),
-        ("E\u00b2\u00b9", RangeError, 0, "two-site digits must be 0..3, got 'E\u00b2\u00b9'"),
+        # Superscript and Arabic-Indic digits are not digits of the grammar.
+        ("E\u00b2\u00b9", ExprSyntaxError, 0,
+         "two-site symbols are E followed by two digits, got 'E\u00b2\u00b9'"),
+        ("E1\u00b2", ExprSyntaxError, 0,
+         "two-site symbols are E followed by two digits, got 'E1\u00b2'"),
+        ("e\u0663", ExprSyntaxError, 0,
+         "single-site symbols are e followed by one digit, got 'e\u0663'"),
         ("e4", RangeError, 0, "single-site digit must be 0..3, got 'e4'"),
         ("e01", ExprSyntaxError, 0, "single-site symbols are e followed by one digit, got 'e01'"),
         ("psi2", ExprSyntaxError, 0, "unknown symbol 'psi2'"),
