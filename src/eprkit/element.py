@@ -11,8 +11,10 @@ products with a unit factor and sums of distinct words cannot reduce and are
 stored as built; a one-word product takes the gcd of its single pair.
 Words carry no order; they are listed in lexicographic order wherever terms
 are read.  An element is built from words and then arithmetic.
-:class:`Scalar`, a pair of :class:`fractions.Fraction` values, is the public
-single-value type: coefficients are built as scalars when read.
+:class:`Scalar` is the public single-value type, stored like one term: a
+Gaussian-integer pair over a positive denominator, in lowest terms.  Its
+arithmetic is integer arithmetic with one gcd per result, and coefficients
+are built as scalars when read.
 """
 
 from __future__ import annotations
@@ -42,13 +44,17 @@ class PrintLimitError(ValueError):
     """A coefficient has more digits than the interpreter turns into text."""
 
 
-def _text(q: Fraction) -> str:
+def _text(n: int, d: int) -> str:
+    """The rational ``n/d`` (``d > 0``) in lowest terms, as its grammar literal."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
     try:
-        return str(q)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:  # past sys.get_int_max_str_digits()
-        n = max(abs(q.numerator), q.denominator)
-        digits = max(1, int(n.bit_length() * 0.30102999566398120) - 1)
-        while 10 ** digits <= n:
+        m = max(abs(n), d)
+        digits = max(1, int(m.bit_length() * 0.30102999566398120) - 1)
+        while 10 ** digits <= m:
             digits += 1
         raise PrintLimitError(
             f"a coefficient of {digits} digits is too long to print") from None
@@ -57,26 +63,39 @@ def _text(q: Fraction) -> str:
 class Scalar:
     """A complex number with exact rational real and imaginary parts.
 
-    Instances are treated as immutable values; all arithmetic returns new
-    scalars.  Division is exact and total away from zero.  Parts are ints,
-    Fractions or strings; a float is refused, since its binary rounding
-    would enter silently.
+    Stored like one term of an :class:`Element`: Gaussian-integer parts over
+    a positive denominator, ``(re + i*im)/den``, with no factor common to all
+    three, so equal scalars have equal parts.  Instances are treated as
+    immutable values; all arithmetic returns new scalars, with one gcd taken
+    per result.  Division is exact and total away from zero.  Parts given to
+    the constructor are ints, Fractions or strings; a float is refused, since
+    its binary rounding would enter silently.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_den", "_re", "_im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError(f"scalar parts must be exact, got ({re!r}, {im!r})")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        r, i = Fraction(re), Fraction(im)
+        # The lcm of two reduced denominators shares no factor with both numerators.
+        den = lcm(r.denominator, i.denominator)
+        self._den = den
+        self._re = r.numerator * (den // r.denominator)
+        self._im = i.numerator * (den // i.denominator)
 
-    @classmethod
-    def _new(cls, re: Fraction, im: Fraction) -> "Scalar":
-        """A scalar from two Fractions, stored as given."""
-        s = object.__new__(cls)
-        s.re, s.im = re, im
-        return s
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
+    @property
+    def parts(self) -> tuple[int, int, int]:
+        """``(den, re, im)`` with the scalar ``(re + i*im)/den``, in lowest terms."""
+        return self._den, self._re, self._im
 
     @staticmethod
     def _coerce(value: object) -> "Scalar | None":
@@ -87,82 +106,100 @@ class Scalar:
         return None
 
     def __add__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+        g = gcd(self._den, o._den)
+        fa, fb = o._den // g, self._den // g  # bring both to the lcm
+        return _scalar(self._den * fa, self._re * fa + o._re * fb, self._im * fa + o._im * fb)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __rsub__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        ar, ai, br, bi = self._re, self._im, o._re, o._im
+        return _scalar(self._den * o._den, ar * br - ai * bi, ar * bi + ai * br)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
+        br, bi = o._re, o._im
+        norm = br * br + bi * bi
+        if not norm:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar((self.re * o.re + self.im * o.im) / norm,
-                      (self.im * o.re - self.re * o.im) / norm)
+        # (a/d) / (b/e) = a * conj(b) * e / (d * |b|**2)
+        ar, ai = self._re * o._den, self._im * o._den
+        return _scalar(self._den * norm, ar * br + ai * bi, ai * br - ar * bi)
 
     def __rtruediv__(self, other: object) -> "Scalar":
-        o = self._coerce(other)
+        o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(self._den, -self._re, -self._im)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
+        o = other if type(other) is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self) -> int:
         # Equal to the int or Fraction it equals when real, so it hashes alike.
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        if self._im:
+            return hash((self._den, self._re, self._im))
+        return hash(Fraction(self._re, self._den))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._re or self._im)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return _text(self.re)
-        if self.im == 1:
-            im = "i"
-        elif self.im == -1:
-            im = "-i"
+        den, re, im = self._den, self._re, self._im
+        if not im:
+            return _text(re, den)
+        if im == den:
+            im_text = "i"
+        elif im == -den:
+            im_text = "-i"
         else:
-            im = f"{_text(self.im)}*i"
-        if self.re == 0:
-            return im
-        sign = "+" if self.im > 0 else "-"
-        return f"{_text(self.re)}{sign}{im.lstrip('-')}"
+            im_text = f"{_text(im, den)}*i"
+        if not re:
+            return im_text
+        sign = "+" if im > 0 else "-"
+        return f"{_text(re, den)}{sign}{im_text.lstrip('-')}"
 
     def __repr__(self) -> str:
         return f"Scalar({self.re!r}, {self.im!r})"
+
+
+def _scalar(den: int, re: int, im: int) -> Scalar:
+    """The scalar ``(re + i*im)/den`` for ``den > 0``, one gcd taken out."""
+    if den != 1:
+        g = gcd(den, re, im)
+        if g != 1:
+            den, re, im = den // g, re // g, im // g
+    s = object.__new__(Scalar)
+    s._den, s._re, s._im = den, re, im
+    return s
 
 
 ZERO = Scalar(0)
@@ -213,19 +250,16 @@ class Element:
     def from_word(cls, word: PauliWord, coeff: object = ONE) -> "Element":
         """The one-term element ``coeff*word``; a zero ``coeff`` gives zero.
 
-        Every element but zero starts here and grows by arithmetic, so this
-        is the one place a scalar is turned into integer parts.  Those parts
-        are canonical as built: no gcd pass.
+        Every element but zero starts here and grows by arithmetic.  A
+        scalar is stored as one term already is, so its parts become the
+        term as they are: no gcd pass.
         """
-        s = Scalar._coerce(coeff)
+        s = coeff if type(coeff) is Scalar else Scalar._coerce(coeff)
         if s is None:
             raise TypeError(f"coefficient {coeff!r} is not scalar-like")
-        d, re, im = _gaussian(s)
-        if not (re or im):
+        if not (s._re or s._im):
             return cls._new(word.arity, 1, {})
-        # The lcm of two reduced denominators shares no factor with both
-        # numerators, so the one pair is canonical as built.
-        return cls._new(word.arity, d, {word: (re, im)})
+        return cls._new(word.arity, s._den, {word: (s._re, s._im)})
 
     @property
     def arity(self) -> int:
@@ -336,8 +370,11 @@ class Element:
             return Element._new(self._arity, den, acc)
         return Element._new(self._arity, *_canonical(den, acc))
 
-    # Only a scalar reaches this: a multiple of the identity word commutes with every word.
-    __rmul__ = __mul__
+    def __rmul__(self, other: object) -> "Element":
+        # Only a scalar reaches this: a multiple of the identity word commutes
+        # with every word.  Looked up by name, so that a wrapper of __mul__
+        # (perfbench's tracer) sees a scalar on the left as well.
+        return self.__mul__(other)
 
     def __truediv__(self, other: object) -> "Element":
         s = Scalar._coerce(other)
@@ -381,12 +418,6 @@ class Element:
         return f"<Element {self}>"
 
 
-def _gaussian(s: Scalar) -> tuple[int, int, int]:
-    """``(d, p, q)`` with ``s = (p + i*q)/d`` and ``d > 0``."""
-    d = lcm(s.re.denominator, s.im.denominator)
-    return d, s.re.numerator * (d // s.re.denominator), s.im.numerator * (d // s.im.denominator)
-
-
 # ``(den, pair)`` of a unit ``i**u * word``.  A product with a unit maps words
 # one to one and leaves every gcd as it was, so it is already canonical.
 _UNITS = {(1, (1, 0)), (1, (0, 1)), (1, (-1, 0)), (1, (0, -1))}
@@ -416,7 +447,10 @@ class _Terms(Mapping):
 
     def __getitem__(self, word: PauliWord) -> Scalar:
         re, im = self._num[word]
-        return Scalar._new(Fraction(re, self._den), Fraction(im, self._den))
+        return _scalar(self._den, re, im)
+
+    def __contains__(self, word: object) -> bool:
+        return word in self._num
 
     def __iter__(self) -> Iterator[PauliWord]:
         return iter(sorted(self._num))
@@ -432,12 +466,13 @@ def _format_term(word: PauliWord, coeff: Scalar) -> str:
     ``e0`` so that the printed element keeps its arity.
     """
     c = str(coeff)
-    compound = coeff.re != 0 and coeff.im != 0
+    den, re, im = coeff._den, coeff._re, coeff._im
+    compound = re and im
     if word.is_identity and word.arity != 1:
         return f"({c})" if compound else c
     name = "e0" if word.is_identity else word.name
-    if coeff.im == 0 and coeff.re in (1, -1):
-        return name if coeff.re == 1 else f"-{name}"
+    if den == 1 and not im and re in (1, -1):
+        return name if re == 1 else f"-{name}"
     if compound:
         return f"({c})*{name}"
     return f"{c}*{name}"

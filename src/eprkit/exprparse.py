@@ -28,11 +28,10 @@ such as ``E04`` or ``psi2`` raises the error the grammar gives it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple, TypeVar, Union
 
-from .element import Element, IM, ONE, Scalar
+from .element import Element, IM, ONE, Scalar, _scalar
 from .pauli import PauliWord
 
 __all__ = [
@@ -186,6 +185,7 @@ class _Parser:
         if kind == "num":
             self.pos += 1
             value = _integer(text, offset)
+            denominator = 1
             nk, nt, _ = self.tokens[self.pos]
             if nk == "op" and nt == "/":
                 self.pos += 1
@@ -196,8 +196,7 @@ class _Parser:
                 denominator = _integer(dt, doff)
                 if denominator == 0:
                     raise ExprSyntaxError("zero denominator", doff)
-                value = Fraction(value, denominator)
-            return Lit(Scalar(value), self.arity)
+            return Lit(_scalar(denominator, value, 0), self.arity)
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
 
     def symbol(self, text: str, offset: int) -> Lit:
@@ -291,11 +290,30 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
 def to_element(node: Expr, psi: Element | None = None) -> Element:
     """Evaluate a tree to a canonical element, each literal at the arity it carries.
 
+    A literal is its :class:`Scalar`, so a subtree of literals alone, such as
+    the coefficient ``(-3/10+5/7*i)``, folds to one scalar by scalar
+    arithmetic and meets a word as that multiple of the identity word.  The
+    literals' arities are collected on the way and must all be the
+    element's; a tree of literals alone is the scalar element at theirs.
+
     ``psi`` supplies the value of the ``psi`` symbol.  Every occurrence of a
     word symbol shares one element, built once per process by
     :func:`_word_element`; elements are immutable, so sharing is safe.
     """
-    return evaluate(node, Element.scalar, _word_element, psi)
+    arities: set[int] = set()
+
+    def literal(value: Scalar, arity: int) -> Scalar:
+        arities.add(arity)
+        return value
+
+    value = evaluate(node, literal, _word_element, psi)
+    if type(value) is not Element:  # a tree of literals alone
+        value = Element.scalar(value, next(iter(arities)))
+    if arities - {value.arity}:
+        # Only a hand-built tree mixes arities.  Element arithmetic raises the
+        # ArityMismatchError at the first operation that mixes them.
+        evaluate(node, Element.scalar, _word_element, psi)
+    return value
 
 
 @cache

@@ -87,10 +87,17 @@ class Matrix:
     def scalar(cls, dim: int, re: int | Fraction = 1, im: int | Fraction = 0) -> "Matrix":
         """``re + i*im`` times the identity matrix of dimension ``dim``."""
         den = lcm(re.denominator, im.denominator)
-        entry = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        # lcm leaves no factor common to den and both parts; only zero needs pruning.
-        build = cls._new if entry == (0, 0) else cls._built
-        return build(dim, den, [{r: entry} for r in range(dim)])
+        # lcm leaves no factor common to den and both parts.
+        return cls._scalar(dim, den, re.numerator * (den // re.denominator),
+                           im.numerator * (den // im.denominator))
+
+    @classmethod
+    def _scalar(cls, dim: int, den: int, re: int, im: int) -> "Matrix":
+        """``(re + i*im)/den`` times the identity, from parts with no common factor."""
+        if not (re or im):
+            return cls._built(dim, 1, [{} for _ in range(dim)])
+        entry = (re, im)
+        return cls._built(dim, den, [{r: entry} for r in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -232,7 +239,7 @@ def element_matrix(elem) -> Matrix:
     dim = 2 ** elem.arity
     out = Matrix.scalar(dim, 0)
     for w, c in elem.terms.items():
-        out += Matrix.scalar(dim, c.re, c.im) * word_matrix(w)
+        out += Matrix._scalar(dim, *c.parts) * word_matrix(w)
     return out
 
 
@@ -240,12 +247,13 @@ def expr_matrix(node: Expr) -> Matrix:
     """Evaluate a parsed expression with matrices alone.
 
     A literal is that multiple of the identity matrix at the literal's
-    arity, a symbol the Kronecker product of its letters' matrices (``psi``
-    this module's own product of them, :data:`_PSI`), and ``*`` the matrix
-    product.  No element arithmetic is involved, so the result is an
-    independent check on ``to_element``.
+    arity, built from the scalar's integer parts, a symbol the Kronecker
+    product of its letters' matrices (``psi`` this module's own product of
+    them, :data:`_PSI`), and ``*`` the matrix product.  No element or scalar
+    arithmetic is involved, so the result is an independent check on
+    ``to_element``.
     """
-    return evaluate(node, lambda value, arity: Matrix.scalar(2 ** arity, value.re, value.im),
+    return evaluate(node, lambda value, arity: Matrix._scalar(2 ** arity, *value.parts),
                     _symbol_matrix, _PSI)
 
 

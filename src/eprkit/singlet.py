@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .element import Element, ONE, Scalar
+from .element import Element, IM, ONE, Scalar, ZERO
 from .exprparse import parse_expr, to_element
+from .pauli import ArityMismatchError, mul_words
 
 __all__ = [
     "NotAnInvolutionError",
@@ -30,6 +31,7 @@ class NotAnInvolutionError(ValueError):
 
 
 _HALF = Scalar(Fraction(1, 2))
+_PHASES = (ONE, IM, -ONE, -IM)  # i**k
 
 # psi = psi1*psi2*psi3 with psi_k = (E_kk - 1)/2, in the expression grammar:
 # the one place the exact layer writes its formula.  Parsed once; every
@@ -50,9 +52,23 @@ class SingletState:
         return ((a - b) * self.psi).is_zero
 
     def expectation(self, a: Element) -> Scalar:
-        """Exact mean value tr(P a) / tr(P) against the projector P = -psi."""
-        num = (self.projector * a).trace_normalized()
-        return num / self.projector.trace_normalized()
+        """Exact mean value tr(P a) / tr(P) against the projector P = -psi.
+
+        tr(P a) is the trace pairing: a product of two words is traceless
+        unless they are the same word, whose square is ``i**k`` times the
+        identity.  So it is the sum of ``P_w * a_w * i**k`` over the words
+        both elements hold, and no product element is built.
+        """
+        p = self.projector
+        if a.arity != p.arity:
+            raise ArityMismatchError(f"arities differ: {p.arity} vs {a.arity}")
+        held = a.terms
+        num = ZERO
+        for w, c in p.terms.items():
+            if w in held:
+                k, _ = mul_words(w, w)
+                num += c * held[w] * _PHASES[k]
+        return num / p.trace_normalized()
 
     def outcome_probabilities(self, a: Element) -> tuple[Scalar, Scalar]:
         """Born pair ((1 + <a>)/2, (1 - <a>)/2); requires ``a*a = 1``."""

@@ -45,6 +45,12 @@ class TestScalar:
         assert not ZERO
         assert Scalar(0, Fraction(1, 3))
 
+    def test_repr_and_refused_float(self):
+        assert repr(Scalar(Fraction(3, 4))) == "Scalar(Fraction(3, 4), Fraction(0, 1))"
+        assert repr(Scalar(2, "-1/3")) == "Scalar(Fraction(2, 1), Fraction(-1, 3))"
+        with pytest.raises(TypeError):
+            Scalar(0.5)
+
     def test_str(self):
         assert str(Scalar(Fraction(-1, 2))) == "-1/2"
         assert str(IM) == "i"
@@ -288,6 +294,51 @@ wide_elements = st.one_of(st.builds(build, wide_terms), unit_words)
 
 def terms_of(el):
     return list(el.terms.items())
+
+
+# --- Scalar against a Fraction-pair reference -------------------------------
+
+rational_parts = st.one_of(st.sampled_from(SMALL_RATIONALS), wide_rationals)
+pairs = st.tuples(rational_parts, st.one_of(st.just(Fraction(0)), rational_parts))
+
+
+def assert_stores(s, pair):
+    """``s`` is the Gaussian rational ``pair``, stored in lowest terms."""
+    den, re, im = s.parts
+    assert den > 0 and gcd(den, re, im) == 1
+    assert (Fraction(re, den), Fraction(im, den)) == (s.re, s.im) == pair
+
+
+@given(pairs, pairs)
+@example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))  # i/2
+@example((Fraction(0), Fraction(0)), (Fraction(2, 3), Fraction(0)))
+@example((Fraction(3, 4), Fraction(0)), (Fraction(0), Fraction(0)))
+def test_scalar_arithmetic_matches_fraction_pairs(p, q):
+    (ar, ai), (br, bi) = p, q
+    a, b = Scalar(ar, ai), Scalar(br, bi)
+    assert_stores(a, p)
+    assert_stores(a + b, (ar + br, ai + bi))
+    assert_stores(a - b, (ar - br, ai - bi))
+    assert_stores(a * b, (ar * br - ai * bi, ar * bi + ai * br))
+    assert_stores(-a, (-ar, -ai))
+    norm = br * br + bi * bi
+    if norm:
+        assert_stores(a / b, ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    # A Fraction operand on either side, through the reflected operators too.
+    assert_stores(br + a, (br + ar, ai))
+    assert_stores(br - a, (br - ar, -ai))
+    assert_stores(br * a, (br * ar, br * ai))
+    if a:
+        assert a / a == 1 and br / a * a == br
+    assert (a == b) == (p == q)
+    assert bool(a) == (p != (0, 0))
+    if not ai:  # a real scalar is its Fraction, and an integral one its int
+        assert a == ar and hash(a) == hash(ar)
+        if ar.denominator == 1:
+            assert a == int(ar) and hash(a) == hash(int(ar))
 
 
 @given(wide_elements, wide_elements)

@@ -19,7 +19,7 @@ from eprkit.exprparse import (
     to_element,
 )
 from eprkit.matrices import element_matrix, expr_matrix
-from eprkit.pauli import PauliWord
+from eprkit.pauli import ArityMismatchError, PauliWord
 
 ROUND_TRIP_CORPUS = [
     "E01*E02",
@@ -232,6 +232,24 @@ class TestArity:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("e1*E01 + )")
         assert info.value.offset == 9
+
+    # A literal folds to a scalar before it meets a word, so to_element checks
+    # the arity a hand-built tree gives each literal.
+    @pytest.mark.parametrize("tree, message", [
+        (BinOp("*", Lit(Scalar(2), 1), Sym("E01")), "arities differ: 1 vs 2"),
+        (BinOp("*", Sym("E01"), Lit(Scalar(2), 1)), "arities differ: 2 vs 1"),
+        (BinOp("+", Lit(ONE, 2), BinOp("*", Lit(IM, 2), Lit(ONE, 1))), "arities differ: 2 vs 1"),
+        (BinOp("-", Neg(Lit(ONE, 1)), Lit(IM, 2)), "arities differ: 1 vs 2"),
+    ])
+    def test_a_literal_of_another_arity_is_refused(self, tree, message):
+        with pytest.raises(ArityMismatchError) as info:
+            to_element(tree)
+        assert str(info.value) == message
+
+    def test_a_literal_alone_keeps_its_arity(self):
+        assert to_element(Lit(ONE, 1)) == Element.one(1)
+        assert to_element(BinOp("*", Lit(IM, 1), Neg(Lit(Scalar(3), 1)))) == \
+            Element.scalar(Scalar(0, -3), 1)
 
 
 class TestEvaluation:

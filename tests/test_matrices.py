@@ -17,6 +17,7 @@ from eprkit.matrices import (
     Matrix,
     approx_equal,
     element_matrix,
+    expr_matrix,
     word_matrix,
 )
 from eprkit.pauli import PauliWord, mul_words
@@ -177,6 +178,16 @@ def test_the_canonical_shortcut_cases():
     assert HALF_E01.kron(TWO_E02) == word_matrix((0, 1, 0, 2))
     assert Matrix.scalar(2, Fraction(0), Fraction(0))._rows == ({}, {})
     assert Matrix.scalar(2, Fraction(2, 4), Fraction(-1, 6))._den == 6
+
+
+@pytest.mark.parametrize("dim, texts", [(4, ("0*E01", "0")), (2, ("0*e1", "0*e0"))])
+def test_the_zero_scalar_is_built_empty(dim, texts):
+    zero = Matrix.scalar(dim, 0)
+    assert zero._den == 1 and zero._rows == ({},) * dim
+    assert zero == Matrix._new(dim, 7, [{r: (0, 0)} for r in range(dim)])  # the pruned form
+    assert zero == Matrix.scalar(dim, Fraction(0), 0) == Matrix._scalar(dim, 1, 0, 0)
+    for text in texts:
+        assert expr_matrix(parse_expr(text)) == zero
 
 
 class TestElementMatrix:

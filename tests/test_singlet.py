@@ -4,11 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eprkit.element import ArityMismatchError, E, Element, IM, Scalar, e
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord
-from eprkit.singlet import NotAnInvolutionError, build_singlet
+from eprkit.singlet import NotAnInvolutionError, SingletState, build_singlet
 
 from numeric import eigenvalues
 
@@ -111,6 +112,29 @@ class TestExpectation:
             re, im = (p * element_matrix(Element.from_word(w))).trace()
             mean = singlet.expectation(Element.from_word(w))
             assert (re / norm, im / norm) == (mean.re, mean.im)
+
+    def test_single_site_argument_is_refused(self, singlet):
+        with pytest.raises(ArityMismatchError, match="^arities differ: 2 vs 1$"):
+            singlet.expectation(e(1))
+
+
+# Gaussian rationals over the denominators 2..7, on any set of two-site words.
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(2, 7))
+_ELEMENTS = st.builds(
+    lambda terms: sum((c * Element.from_word(w) for w, c in terms.items()), Element.zero(2)),
+    st.dictionaries(st.sampled_from([PauliWord(t) for t in itertools.product(range(4), repeat=2)]),
+                    st.builds(Scalar, _RATIONALS, _RATIONALS), max_size=16))
+
+# The singlet, and the injected fault of run_full_report: psi plus E12/2.
+_STATES = (build_singlet(),
+           SingletState(build_singlet().psi + Element.from_word(PauliWord((1, 2)), Fraction(1, 2))))
+
+
+@given(_ELEMENTS)
+def test_expectation_is_the_trace_of_the_product(a):
+    for state in _STATES:
+        p = state.projector
+        assert state.expectation(a) == (p * a).trace_normalized() / p.trace_normalized()
 
 
 class TestOutcomeProbabilities:
