@@ -30,9 +30,9 @@ refutation, not merely absence of verification.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .element import E, Element
@@ -449,7 +449,8 @@ class VerificationReport(NamedTuple):
         return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``."""
+        return _json(self.to_dict()) + "\n"
 
     def to_markdown(self) -> str:
         lines = [
@@ -503,6 +504,32 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it.
+
+    Only the types a report holds are written: dicts with str keys, lists,
+    str, int and bool; any other type raises TypeError.
+    """
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if t is list:
+        items, ends = [_json(v, inner) for v in value], "[]"
+    elif t is dict:  # a key that is not a str raises TypeError in the encoder
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"a report holds no {t.__name__}: {value!r}")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 _REPORT_NOTES = [
     "psi*psi = -psi: the construction is anti-idempotent as built; the "
     "projector -psi is exposed alongside and used for all expectations",
@@ -519,10 +546,12 @@ def _word_product_cross_check() -> dict:
     words = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
     agree = 0
     mats = {w: word_matrix(w) for w in words}
+    # Each word matrix times each unit i**k, built once per report.
+    phased = {w: [m.times_i(k) for k in range(4)] for w, m in mats.items()}
     for a in words:
         for b in words:
             k, w = mul_words(a, b)
-            if approx_equal(mats[a] * mats[b], mats[w].times_i(k)):
+            if approx_equal(mats[a] * mats[b], phased[w][k]):
                 agree += 1
     return {"pairs": len(words) ** 2, "oracle_agree": agree}
 

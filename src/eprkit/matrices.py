@@ -10,7 +10,12 @@ independent by construction: the only eprkit module imported here is
 :mod:`~eprkit.exprparse`, the tree walk both routes share on purpose.  Even
 ``psi`` is this module's own product of letter matrices, taken from no
 caller.  Entries are exact Gaussian rationals, so two matrices agree
-exactly when they are equal.
+exactly when they are equal.  Every result is kept canonical, but only
+an entry summed from two parts (a sum's shared entry, a product's repeated
+column) can cancel, so only such a result runs the gcd-and-prune pass.  Any
+other result holds no zero, since Gaussian integers have no zero divisors:
+a product takes one gcd, and a disjoint sum, a unit multiple, a scalar and
+a Kronecker product over denominator 1 are stored as built.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ class Matrix:
     ``(re, im)``.  The denominator and the numerators have no common factor,
     so two matrices are equal exactly when their dimension, denominator and
     rows are.  ``+``, ``-`` and unary ``-`` are entrywise and ``*`` is the
-    matrix product.
+    matrix product.  A sum of disjoint supports cannot cancel or keep a
+    common factor (Henrici's rule), and a product that summed no entry
+    holds no zero, so both skip the pruning pass :meth:`_set`.
     """
 
     __slots__ = ("_dim", "_den", "_rows")
@@ -77,15 +84,14 @@ class Matrix:
         """Store the parts in canonical form: zeros pruned, one gcd taken out."""
         rows = [row if (0, 0) not in row.values() else
                 {c: p for c, p in row.items() if p != (0, 0)} for row in rows]
-        g = den if den == 1 else gcd(den, *(x for row in rows for p in row.values() for x in p))
-        if g != 1:
-            den //= g
-            rows = [{c: (re // g, im // g) for c, (re, im) in row.items()} for row in rows]
-        self._dim, self._den, self._rows = dim, den, tuple(rows)
+        self._dim = dim
+        self._den, self._rows = _lowest_terms(den, rows)
 
     @classmethod
     def scalar(cls, dim: int, re: int | Fraction = 1, im: int | Fraction = 0) -> "Matrix":
         """``re + i*im`` times the identity matrix of dimension ``dim``."""
+        if isinstance(re, float) or isinstance(im, float):
+            raise TypeError(f"scalar parts must be exact, got ({re!r}, {im!r})")
         den = lcm(re.denominator, im.denominator)
         # lcm leaves no factor common to den and both parts.
         return cls._scalar(dim, den, re.numerator * (den // re.denominator),
@@ -123,17 +129,32 @@ class Matrix:
         return True
 
     def __add__(self, other: object) -> "Matrix":
+        """The entrywise sum over the lcm of the two denominators.
+
+        Only an entry met on both sides can cancel or leave a common factor
+        (Henrici's rule), so a sum of disjoint supports is stored as built.
+        """
         if not self._check(other):
             return NotImplemented
         g = gcd(self._den, other._den)
         fa, fb = other._den // g, self._den // g  # bring both to the lcm
         rows = []
+        summed = False
         for ra, rb in zip(self._rows, other._rows):
-            acc = {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
+            acc = dict(ra) if fa == 1 else {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
+            get = acc.get
             for c, (re, im) in rb.items():
-                old = acc.get(c, (0, 0))
-                acc[c] = (old[0] + re * fb, old[1] + im * fb)
+                old = get(c)
+                if old is None:
+                    acc[c] = (re * fb, im * fb)
+                else:
+                    acc[c] = (old[0] + re * fb, old[1] + im * fb)
+                    summed = True
             rows.append(acc)
+        if not summed:
+            # Nothing cancels, and since each side was reduced, every prime
+            # of the lcm misses some scaled numerator.
+            return Matrix._built(self._dim, self._den * fa, rows)
         return Matrix._new(self._dim, self._den * fa, rows)
 
     def __sub__(self, other: object) -> "Matrix":
@@ -146,7 +167,7 @@ class Matrix:
 
     def __mul__(self, other: object) -> "Matrix":
         """The matrix product."""
-        if not self._check(other):
+        if (type(other) is not Matrix or other._dim != self._dim) and not self._check(other):
             return NotImplemented
         right = other._rows
         rows = []
@@ -165,9 +186,12 @@ class Matrix:
                         summed = True
             rows.append(acc)
         den = self._den * other._den
-        if den == 1 and not summed:  # so each entry is one product of nonzero parts
+        if summed:
+            return Matrix._new(self._dim, den, rows)
+        # Each entry is one product of nonzero parts, so none is zero.
+        if den == 1:
             return Matrix._built(self._dim, 1, rows)
-        return Matrix._new(self._dim, den, rows)
+        return Matrix._built(self._dim, *_lowest_terms(den, rows))
 
     def times_i(self, k: int) -> "Matrix":
         """``i**k`` times this matrix: a swap of the parts, a negation, or both."""
@@ -201,7 +225,18 @@ class Matrix:
         return f"Matrix(dim={self._dim}, den={self._den}, rows={self._rows!r})"
 
 
+def _lowest_terms(den: int, rows: list[Row]) -> tuple[int, tuple[Row, ...]]:
+    """``den`` and ``rows`` with the gcd of ``den`` and every part divided out."""
+    g = den if den == 1 else gcd(den, *(x for row in rows for p in row.values() for x in p))
+    if g != 1:
+        den //= g
+        rows = [{c: (re // g, im // g) for c, (re, im) in row.items()} for row in rows]
+    return den, tuple(rows)
+
+
 def _gaussian_integer(x: int | complex) -> tuple[int, int]:
+    if isinstance(x, int):  # exactly, however large; a bool too
+        return int(x), 0
     z = complex(x)
     re, im = int(z.real), int(z.imag)
     if (re, im) != (z.real, z.imag):

@@ -1,6 +1,7 @@
 """The identity suite: constraints, search, fallacy, resolution, report."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,11 @@ class TestFullReport:
     def test_deterministic_serialization(self):
         assert run_full_report().to_json() == run_full_report().to_json()
 
+    @pytest.mark.parametrize("fault", [None, "corrupt-singlet"])
+    def test_json_is_the_standard_encoders_bytes(self, fault):
+        report = run_full_report(fault=fault)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
     def test_warm_report_parses_nothing(self, monkeypatch):
         # The claim rows are constant text: after one report, every tree the
         # next one evaluates was parsed already.
@@ -375,3 +381,27 @@ def test_numeric_psi_route_matches_symbolic_psi(singlet):
     assert approx_equal(numeric, element_matrix(singlet.psi))
     with pytest.raises(TypeError):
         numeric[0, 0] = 0
+
+
+# Text with the characters an encoder must escape, and ints past 64 bits.
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')),
+                    max_size=6)
+json_values = st.recursive(
+    st.one_of(json_text, st.booleans(), st.integers(),
+              st.integers(10 ** 20, 10 ** 30), st.integers(-(10 ** 30), -(10 ** 20))),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_report_writer_matches_the_standard_encoder(value):
+    assert epr._json(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_what_a_report_does_not_hold():
+    assert epr._json([True, False, 1, 0, [], {}]) == json.dumps([True, False, 1, 0, [], {}],
+                                                               indent=2)
+    assert epr._json({"ok": True}) == '{\n  "ok": true\n}'
+    for value in (0.5, None, [None], {"a": [1.0]}, {(1, 2): 1}, (1, 2)):
+        with pytest.raises(TypeError):
+            epr._json(value)

@@ -131,6 +131,18 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[1, 0]])
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, -(10 ** 30), True])
+    def test_int_entries_are_taken_exactly(self, n):
+        m = Matrix([[n, 1j], [0, 2 + 0j]])
+        assert m.entry(0, 0) == (int(n), 0)
+        assert m.entry(0, 1) == (0, 1) and m.entry(1, 1) == (2, 0)
+
+    def test_a_float_scalar_is_refused(self):
+        with pytest.raises(TypeError, match="scalar parts must be exact"):
+            Matrix.scalar(4, 0.5)
+        with pytest.raises(TypeError, match="scalar parts must be exact"):
+            Matrix.scalar(4, 1, 0.5)
+
 
 def rebuilt(m):
     """``m``'s parts passed once more through the canonicalizing ``_set``."""
@@ -161,6 +173,11 @@ TWO_E02 = Matrix.scalar(4, 2) * E02_MATRIX
 @example(ONE_PLUS_E01, ONE_MINUS_E01, 1, Fraction(0), Fraction(0))  # every entry cancels; zero
 @example(HALF_E01, TWO_E02, 2, Fraction(1, 2), Fraction(0))  # denominators with a common factor
 @example(word_matrix((1, 2)), word_matrix((2, 1)), 3, Fraction(-3, 4), Fraction(1, 6))
+# disjoint supports over denominators 2 and 6: a sum stored as built
+@example(HALF_E01, Matrix.scalar(4, Fraction(1, 6)), 1, Fraction(1, 6), Fraction(0))
+# no entry summed, over 3*4 with 6 to take out: a product stored after one gcd
+@example(Matrix.scalar(4, Fraction(2, 3)) * E01_MATRIX,
+         Matrix.scalar(4, Fraction(3, 4), Fraction(3, 4)) * E02_MATRIX, 0, Fraction(0), Fraction(1))
 def test_every_result_is_stored_canonical(a, b, k, re, im):
     assert rebuilt(a) == a
     results = [a * b, b * a, a + b, a - b, -a, a.times_i(k), a.kron(b), b.kron(a),
@@ -176,6 +193,13 @@ def test_the_canonical_shortcut_cases():
     product = HALF_E01 * TWO_E02
     assert product == word_matrix((0, 3)).times_i(1) and product._den == 1
     assert HALF_E01.kron(TWO_E02) == word_matrix((0, 1, 0, 2))
+    disjoint = HALF_E01 + Matrix.scalar(4, Fraction(1, 6))
+    assert disjoint._den == 6
+    assert disjoint.entry(0, 0) == (Fraction(1, 6), 0) and disjoint.entry(0, 1) == (Fraction(1, 2), 0)
+    product = (Matrix.scalar(4, Fraction(2, 3)) * E01_MATRIX
+               * (Matrix.scalar(4, Fraction(3, 4), Fraction(3, 4)) * E02_MATRIX))
+    assert product == Matrix.scalar(4, Fraction(1, 2), Fraction(1, 2)) * word_matrix((0, 3)).times_i(1)
+    assert product._den == 2
     assert Matrix.scalar(2, Fraction(0), Fraction(0))._rows == ({}, {})
     assert Matrix.scalar(2, Fraction(2, 4), Fraction(-1, 6))._den == 6
 
