@@ -5,7 +5,6 @@ Run with:  python demos/04_contradiction_and_resolution.py
 
 from eprkit import (
     E,
-    all_assignments,
     build_singlet,
     classical_assignment_search,
     constraint_flags,
@@ -24,9 +23,10 @@ print(f"tables satisfying every constraint: {len(solutions)}")
 
 relaxed = classical_assignment_search(("opposite_x", "opposite_y"))
 print(f"tables satisfying only the pair constraints: {len(relaxed)}")
-for a in relaxed:
-    product_ok = constraint_flags(a)["opposite_products"]
-    print(f"  {a.values}  opposite products: {product_ok}")
+for table in relaxed:
+    product_ok = constraint_flags(table)["opposite_products"]
+    values = {word.name: value for word, value in table.items()}
+    print(f"  {values}  opposite products: {product_ok}")
 
 # The fallacy: promoting sector-only equalities to strict ones.
 print("\nreplaying the substitution argument:")

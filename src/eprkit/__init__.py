@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "element": ("E", "Element", "IM", "ONE", "PrintLimitError", "Scalar", "ZERO", "e"),
-    "epr": ("ClassicalAssignment", "FallacyReport", "FallacyStep", "IdentityCheck",
-            "VerificationReport", "all_assignments", "classical_assignment_search",
-            "constraint_flags", "fallacy_trace", "run_full_report",
+    "epr": ("FallacyReport", "FallacyStep", "IdentityCheck", "VerificationReport",
+            "all_assignments", "classical_assignment_search", "constraint_flags",
+            "fallacy_trace", "run_full_report",
             "verify_combined_elements", "verify_constraint_family",
             "verify_derived_identities", "verify_product_constraint", "verify_resolution",
             "verify_singlet_constraints", "verify_singlet_construction"),

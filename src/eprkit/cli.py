@@ -104,21 +104,21 @@ def _cmd_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_peres(_: argparse.Namespace) -> int:
-    from .epr import all_assignments, classical_assignment_search, constraint_flags
+    from .epr import all_assignments, constraint_flags
 
-    print("m(E01) m(E10) m(E02) m(E20) | opposite_x opposite_y opposite_products | all")
-    satisfying = 0
-    for a in all_assignments():
-        flags = constraint_flags(a)
-        good = all(flags.values())
-        satisfying += good
-        print(f"{a.m01:+6d} {a.m10:+6d} {a.m02:+6d} {a.m20:+6d} |"
-              f" {str(flags['opposite_x']):10} {str(flags['opposite_y']):10}"
-              f" {str(flags['opposite_products']):17} | {'yes' if good else 'no'}")
-    relaxed = len(classical_assignment_search(("opposite_x", "opposite_y")))
+    tables = all_assignments()
+    heads = [f"m({word})" for word in tables[0]]
+    flags = [constraint_flags(table) for table in tables]
+    print(f"{' '.join(heads)} | {' '.join(flags[0])} | all")
+    for table, row in zip(tables, flags):
+        print(" ".join(f"{v:+{len(head)}d}" for head, v in zip(heads, table.values()))
+              + " | " + " ".join(f"{str(ok):{len(name)}}" for name, ok in row.items())
+              + f" | {'yes' if all(row.values()) else 'no'}")
+    satisfying = sum(all(row.values()) for row in flags)
+    relaxed = sum(row["opposite_x"] and row["opposite_y"] for row in flags)
     print()
-    print(f"satisfying all constraints: {satisfying} of 16")
-    print(f"satisfying all but the product constraint: {relaxed} of 16")
+    print(f"satisfying all constraints: {satisfying} of {len(tables)}")
+    print(f"satisfying all but the product constraint: {relaxed} of {len(tables)}")
     return 0
 
 

@@ -101,7 +101,9 @@ class Scalar:
     def _coerce(value: object) -> "Scalar | None":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
+            return _scalar(1, int(value), 0)
+        if isinstance(value, Fraction):
             return Scalar(value)
         return None
 

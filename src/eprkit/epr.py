@@ -12,7 +12,9 @@ silently turns a true singlet-sector statement into a false strict one.
 evaluate: the exact symbolic layer (:func:`~eprkit.exprparse.to_element`)
 and the exact matrix oracle (:func:`~eprkit.matrices.expr_matrix`, with its
 own psi), which shares the tree walk with the first but none of its
-arithmetic.  Both decide by literal equality.  Only
+arithmetic.  Both decide by literal equality.  The constraint rows get a
+third, realist reading (:func:`constraint_flags`): each word a definite
++1/-1 value, the assumption the paper disputes.  Only
 ``trace_normalized(-psi) = 1/4`` is outside the grammar and checked by hand.
 The rows are constant, so each side is parsed once per process
 (:func:`_sides`); each report evaluates the trees again, on both routes and
@@ -35,8 +37,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .element import E, Element
-from .exprparse import BinOp, Expr, Sym, parse_expr, to_element
+from .element import E, Element, Scalar
+from .exprparse import BinOp, Expr, Sym, evaluate, parse_expr, to_element
 from .matrices import approx_equal, expr_matrix, word_matrix
 from .pauli import PauliWord, mul_words
 from .singlet import PSI_TEXT, SingletState, build_singlet
@@ -46,7 +48,6 @@ from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_tri
 __all__ = [
     "CLAIMS",
     "Claim",
-    "ClassicalAssignment",
     "CONSTRAINT_NAMES",
     "EXPECTED_INCIDENCE_DEGREE",
     "EXPECTED_TRIPLE_COUNT",
@@ -339,57 +340,55 @@ def verify_resolution(s: SingletState) -> list[IdentityCheck]:
     return _run("resolution", s.psi)
 
 
-# --- classical value assignments ---------------------------------------------
+# --- the realist reading: the constraint rows over definite values -------------
 
-CONSTRAINT_NAMES = ("opposite_x", "opposite_y", "opposite_products")
-
-
-class ClassicalAssignment(NamedTuple):
-    """One candidate table of definite +1/-1 outcomes for the four words."""
-
-    m01: int
-    m10: int
-    m02: int
-    m20: int
-
-    @property
-    def values(self) -> dict[str, int]:
-        return {"E01": self.m01, "E10": self.m10,
-                "E02": self.m02, "E20": self.m20}
+CONSTRAINT_NAMES = {"opposite_x": CLAIMS["constraints"][0],
+                    "opposite_y": CLAIMS["constraints"][2],
+                    "opposite_products": CLAIMS["product"][0]}
 
 
-def all_assignments() -> list[ClassicalAssignment]:
-    """All 16 sign tables, in a fixed order."""
-    return [ClassicalAssignment(*signs)
-            for signs in itertools.product((1, -1), repeat=4)]
+def _literal(value: Scalar, arity: int) -> Scalar:
+    return value  # a number among numbers, whatever its arity
 
 
-def constraint_flags(a: ClassicalAssignment) -> dict[str, bool]:
-    """Which singlet constraints the assignment satisfies.
+@cache
+def _table_words(rows: tuple[Claim, ...]) -> tuple[PauliWord, ...]:
+    """The words ``rows`` name, in order of first appearance (syntax only)."""
+    first: dict[PauliWord, int] = {}
+    for side in itertools.chain.from_iterable(map(_sides, rows)):
+        evaluate(side, _literal, lambda letters: first.setdefault(PauliWord(letters), 1))
+    return tuple(first)
 
-    ``opposite_x``/``opposite_y`` demand opposite values within each pair;
-    ``opposite_products`` demands the two cross products carry opposite
-    signs, which is what the product constraint forces on the singlet.
+
+def all_assignments() -> list[dict[PauliWord, int]]:
+    """All 16 tables of +1/-1 values for the words the constraint rows name, in order."""
+    words = _table_words(tuple(CONSTRAINT_NAMES.values()))
+    return [dict(zip(words, signs)) for signs in itertools.product((1, -1), repeat=len(words))]
+
+
+def constraint_flags(table: dict[PauliWord, int]) -> dict[str, bool]:
+    """Which constraint rows hold when each word takes its value in ``table``.
+
+    Sums and products of words become sums and products of numbers: the
+    realist reading, which the paper disputes.
     """
-    return {
-        "opposite_x": a.m01 == -a.m10,
-        "opposite_y": a.m02 == -a.m20,
-        "opposite_products": a.m01 * a.m20 == -(a.m10 * a.m02),
-    }
+    value = table.__getitem__
+    return {name: evaluate(lhs, _literal, value) == evaluate(rhs, _literal, value)
+            for name, (lhs, rhs) in zip(CONSTRAINT_NAMES, map(_sides, CONSTRAINT_NAMES.values()))}
 
 
 def classical_assignment_search(
-        constraints: tuple[str, ...] = CONSTRAINT_NAMES) -> list[ClassicalAssignment]:
+        constraints: tuple[str, ...] = tuple(CONSTRAINT_NAMES)) -> list[dict[PauliWord, int]]:
     """Exhaustively scan the 16 sign tables against the given constraints.
 
-    With all three constraint families active the result is empty: the first
+    With all three constraint rows active the result is empty: the first
     two force the cross products equal while the third forces them opposite.
     """
     for c in constraints:
         if c not in CONSTRAINT_NAMES:
             raise ValueError(f"unknown constraint {c!r}")
-    return [a for a in all_assignments()
-            if all(constraint_flags(a)[c] for c in constraints)]
+    return [table for table in all_assignments()
+            if all(map(constraint_flags(table).__getitem__, constraints))]
 
 
 # --- the fallacy and its resolution ------------------------------------------
@@ -593,12 +592,11 @@ def run_full_report(fault: str | None = None) -> VerificationReport:
     triples_summary["incidence_degrees"] = degrees
     triples_summary["e12_memberships"] = [list(t.names) for t in e12]
 
-    peres = {
-        "assignments": len(all_assignments()),
-        "solutions": len(classical_assignment_search()),
-        "solutions_without_product_constraint":
-            len(classical_assignment_search(("opposite_x", "opposite_y"))),
-    }
+    flags = [constraint_flags(table) for table in all_assignments()]
+    peres = {"assignments": len(flags),
+             "solutions": sum(all(f.values()) for f in flags),
+             "solutions_without_product_constraint":
+                 sum(f["opposite_x"] and f["opposite_y"] for f in flags)}
     homomorphism = _word_product_cross_check()
 
     structural_ok = (

@@ -90,8 +90,8 @@ class Matrix:
     @classmethod
     def scalar(cls, dim: int, re: int | Fraction = 1, im: int | Fraction = 0) -> "Matrix":
         """``re + i*im`` times the identity matrix of dimension ``dim``."""
-        if isinstance(re, float) or isinstance(im, float):
-            raise TypeError(f"scalar parts must be exact, got ({re!r}, {im!r})")
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError(f"scalar parts must be exact, int or Fraction, got ({re!r}, {im!r})")
         den = lcm(re.denominator, im.denominator)
         # lcm leaves no factor common to den and both parts.
         return cls._scalar(dim, den, re.numerator * (den // re.denominator),

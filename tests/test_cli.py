@@ -21,6 +21,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def expected_cli_case(name):
+    """The benchmark's expected argv, exit code and stdout for one command."""
+    expected = Path(__file__).parent.parent / "perfbench" / "expected_cli.json"
+    return next(c for c in json.loads(expected.read_text(encoding="utf-8"))["commands"]
+                if c["name"] == name)
+
+
 class TestVerify:
     def test_json_passes_and_matches_golden(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
@@ -125,6 +132,10 @@ class TestPeres:
         assert len(out.splitlines()) == 20
         assert "satisfying all constraints: 0 of 16" in out
         assert "satisfying all but the product constraint: 4 of 16" in out
+
+    def test_stdout_is_the_benchmarks_expected_bytes(self, capsys):
+        case = expected_cli_case("peres")
+        assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], "")
 
 
 class TestEval:
@@ -268,9 +279,7 @@ EXPR_MODULES = ("eprkit.element", "eprkit.exprparse", "eprkit.singlet")
                           ("triples", REPORT_MODULES + EXPR_MODULES)],
                          ids=["eval", "expect", "triples"])
 def test_command_runs_without_the_modules_it_does_not_need(name, blocked):
-    expected = Path(__file__).parent.parent / "perfbench" / "expected_cli.json"
-    case = next(c for c in json.loads(expected.read_text(encoding="utf-8"))["commands"]
-                if c["name"] == name)
+    case = expected_cli_case(name)
     result = run_blocked(blocked, *case["argv"])
     assert (result.returncode, result.stderr) == (case["exit"], "")
     assert result.stdout == case["stdout"]

@@ -19,3 +19,7 @@ def test_demo_runs(path, capsys):
     assert out
     if path.name.startswith("04_"):
         assert out.endswith("full verification: 108 checks, overall PASS\n")
+        # The four tables that satisfy only the pair constraints, printed by word name.
+        assert out.splitlines()[3:7] == [
+            f"  {{'E01': {a}, 'E10': {-a}, 'E02': {b}, 'E20': {-b}}}  opposite products: False"
+            for a in (1, -1) for b in (1, -1)]

@@ -26,6 +26,14 @@ class TestScalar:
                 Scalar(re, im)
         assert Scalar("1/10", 2) == Scalar(Fraction(1, 10), 2)
 
+    @pytest.mark.parametrize("n, h", [(True, 1), (-3, -3), (2 ** 70, 512)])
+    def test_an_int_coerces_to_its_integral_scalar(self, n, h):
+        s = Scalar._coerce(n)
+        assert s.parts == (1, int(n), 0) and type(s.parts[1]) is int
+        assert hash(s) == h == hash(n)
+        assert repr(s) == f"Scalar(Fraction({int(n)}, 1), Fraction(0, 1))"
+        assert s == Scalar(n) and n == ZERO + s
+
     def test_arithmetic(self):
         assert Scalar(1, 2) + Scalar(3, -1) == Scalar(4, 1)
         assert Scalar(1, 2) * Scalar(3, 4) == Scalar(-5, 10)

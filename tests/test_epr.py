@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from eprkit import element, epr, exprparse, matrices, pauli
 from eprkit.element import E, Element, Scalar
 from eprkit.epr import (
-    ClassicalAssignment,
     all_assignments,
     classical_assignment_search,
     constraint_flags,
@@ -102,11 +101,39 @@ class TestClassicalSearch:
             classical_assignment_search(("opposite_z",))
 
     def test_flags_on_a_specific_assignment(self):
-        a = ClassicalAssignment(m01=1, m10=-1, m02=1, m20=-1)
-        flags = constraint_flags(a)
+        table = {PauliWord((0, 1)): 1, PauliWord((1, 0)): -1,
+                 PauliWord((0, 2)): 1, PauliWord((2, 0)): -1}
+        flags = constraint_flags(table)
         assert flags["opposite_x"] and flags["opposite_y"]
         assert not flags["opposite_products"]
-        assert a.values == {"E01": 1, "E10": -1, "E02": 1, "E20": -1}
+        assert table in all_assignments()
+
+    def test_the_tables_name_the_words_in_the_rows_order(self):
+        words = [PauliWord((0, 1)), PauliWord((1, 0)), PauliWord((0, 2)), PauliWord((2, 0))]
+        tables = all_assignments()
+        assert all(list(table) == words for table in tables)
+        assert [list(table.values()) for table in tables] == [
+            list(signs) for signs in itertools.product((1, -1), repeat=4)]
+
+    def test_flags_match_the_hand_written_formulas(self):
+        for table in all_assignments():
+            m01, m10, m02, m20 = table.values()
+            assert constraint_flags(table) == {
+                "opposite_x": m01 == -m10,
+                "opposite_y": m02 == -m20,
+                "opposite_products": m01 * m20 == -(m10 * m02),
+            }
+
+    def test_the_search_reads_the_claim_table(self, monkeypatch):
+        row = epr.CONSTRAINT_NAMES["opposite_products"]
+        assert row is epr.CLAIMS["product"][0]
+        assert classical_assignment_search() == []
+        monkeypatch.setitem(epr.CONSTRAINT_NAMES, "opposite_products",
+                            row._replace(rhs="E10*E02"))
+        found = classical_assignment_search()
+        assert len(found) == 4
+        assert all(constraint_flags(table) == dict.fromkeys(epr.CONSTRAINT_NAMES, True)
+                   for table in found)
 
 
 class TestDerivedIdentities:

@@ -138,10 +138,10 @@ class TestMatrix:
         assert m.entry(0, 1) == (0, 1) and m.entry(1, 1) == (2, 0)
 
     def test_a_float_scalar_is_refused(self):
-        with pytest.raises(TypeError, match="scalar parts must be exact"):
-            Matrix.scalar(4, 0.5)
-        with pytest.raises(TypeError, match="scalar parts must be exact"):
-            Matrix.scalar(4, 1, 0.5)
+        # A str is refused too: Scalar reads "1/2", but Matrix.scalar takes ints and Fractions.
+        for re, im in [(0.5, 0), (1, 0.5), ("1/2", 0), (1, "1/2")]:
+            with pytest.raises(TypeError, match="scalar parts must be exact, int or Fraction"):
+                Matrix.scalar(4, re, im)
 
 
 def rebuilt(m):

@@ -10,8 +10,8 @@ import eprkit
 
 # The public names, as the package listed them when it imported every module.
 PUBLIC = (
-    "ArityConflictError", "ArityMismatchError", "BasicTriple", "ClassicalAssignment",
-    "DiffReport", "DimensionMismatchError", "E", "Element", "ExprError", "ExprSyntaxError",
+    "ArityConflictError", "ArityMismatchError", "BasicTriple", "DiffReport",
+    "DimensionMismatchError", "E", "Element", "ExprError", "ExprSyntaxError",
     "FallacyReport", "FallacyStep", "IM", "IdentityCheck", "NotAnInvolutionError", "ONE",
     "PAPER_BASIC_SETS", "PauliWord", "PrintLimitError", "RangeError", "Scalar",
     "SingletState", "VerificationReport", "ZERO", "all_assignments", "approx_equal",
