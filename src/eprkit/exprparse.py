@@ -20,15 +20,17 @@ built at that arity.  Single-site and two-site symbols cannot be mixed in
 one expression: :func:`parse_expr` raises :class:`ArityConflictError` once
 the text has parsed, so a syntax error takes precedence.
 
-The grammar's 21 fixed names (``E00``...``E33``, ``e0``...``e3``, ``psi``)
-are read from the symbol table :data:`_SYMBOLS`, one shared :class:`Sym`
-node per name.  Every other name is judged letter by letter, so a near miss
-such as ``E04`` or ``psi2`` raises the error the grammar gives it.
+The word names are written once, in the prefix table :data:`_PREFIXES`:
+``E`` and two digits, ``e`` and one.  The names' letters, the symbol table
+:data:`_SYMBOLS` of shared :class:`Sym` nodes, each word's element and the
+arity scan are read from it, and so are a near miss's two errors (``E0``,
+``E04``).  The tree walk refuses any name or operator the parser cannot
+read, so a hand-built tree outside the grammar evaluates on neither route.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from itertools import product
 from typing import Callable, NamedTuple, TypeVar, Union
 
 from .element import Element, IM, ONE, Scalar, _scalar
@@ -125,17 +127,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The word names: prefix -> (sites, a malformed name's error, a digit's range error).
+_PREFIXES = {
+    "E": (2, "two-site symbols are E followed by two digits", "two-site digits must be 0..3"),
+    "e": (1, "single-site symbols are e followed by one digit", "single-site digit must be 0..3"),
+}
+# Each word name's letters: E00..E33 and e0..e3.
+_LETTERS = {prefix + "".join(map(str, letters)): letters
+            for prefix, (sites, *_) in _PREFIXES.items()
+            for letters in product(range(4), repeat=sites)}
 # The symbol table: one shared node per fixed name of the grammar.
-_SYMBOLS = {name: Sym(name) for name in (
-    *(f"E{a}{b}" for a in "0123" for b in "0123"), *(f"e{k}" for k in "0123"), "psi")}
+_SYMBOLS = {name: Sym(name) for name in (*_LETTERS, "psi")}
+# Each word's element, keyed by its letters: every occurrence of a symbol
+# shares it, and elements are immutable, so sharing is safe.
+_WORDS = {letters: Element.from_word(PauliWord(letters)) for letters in _LETTERS.values()}
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        arities = {1 if name[0] == "e" else 2 for kind, name, _ in self.tokens
-                   if kind == "name" and (name[0] in "Ee" or name == "psi")}
+        arities = {2 if name == "psi" else _PREFIXES[name[0]][0] for kind, name, _ in self.tokens
+                   if kind == "name" and (name[0] in _PREFIXES or name == "psi")}
         self.mixed = len(arities) > 1
         self.arity = 1 if arities == {1} else 2
 
@@ -206,21 +219,13 @@ class _Parser:
         """
         if text in ("i", "I"):
             return Lit(IM if text == "i" else ONE, self.arity)
-        if text[0] == "E":
-            digits = text[1:]
-            if len(digits) != 2 or not all("0" <= c <= "9" for c in digits):
-                raise ExprSyntaxError(
-                    f"two-site symbols are E followed by two digits, got {text!r}",
-                    offset)
-            raise RangeError(f"two-site digits must be 0..3, got {text!r}", offset)
-        if text[0] == "e":
-            digits = text[1:]
-            if len(digits) != 1 or not "0" <= digits <= "9":
-                raise ExprSyntaxError(
-                    f"single-site symbols are e followed by one digit, got {text!r}",
-                    offset)
-            raise RangeError(f"single-site digit must be 0..3, got {text!r}", offset)
-        raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
+        if text[0] not in _PREFIXES:
+            raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
+        sites, malformed, out_of_range = _PREFIXES[text[0]]
+        digits = text[1:]
+        if len(digits) != sites or not all("0" <= c <= "9" for c in digits):
+            raise ExprSyntaxError(f"{malformed}, got {text!r}", offset)
+        raise RangeError(f"{out_of_range}, got {text!r}", offset)
 
 
 def _integer(digits: str, offset: int) -> int:
@@ -246,12 +251,6 @@ def parse_expr(text: str) -> Expr:
 
 # --- evaluation ---------------------------------------------------------------
 
-@cache
-def _letters(name: str) -> tuple[int, ...]:
-    """The letters a word symbol names, decoded once per name."""
-    return tuple(int(d) for d in name[1:])
-
-
 def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
              word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
     """Fold a tree bottom-up in any algebra.
@@ -259,8 +258,10 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
     ``scalar`` gives a literal its value from the literal's value and arity,
     ``word`` gives a symbol's letters theirs, and ``psi`` is the value of the
     ``psi`` symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own
-    operators.  A symbol's name is decoded to its letters once per process,
-    and ``word`` receives the same tuple each time, so it may cache on it.
+    operators.  A symbol's letters are read from the grammar's table, so
+    ``word`` receives the same tuple for each name and may cache on it.  A
+    name or an operator the grammar does not have raises
+    :class:`ExprSyntaxError`: only a hand-built tree holds one.
     """
     def ev(n: Expr) -> T:
         kind = type(n)  # exact node types only: a plain tuple is no node
@@ -271,15 +272,20 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
                 return left * right
             if op == "+":
                 return left + right
-            return left - right
+            if op == "-":
+                return left - right
+            raise ExprSyntaxError(f"unknown operator {op!r}")
         if kind is Lit:
             return scalar(n.value, n.arity)
         if kind is Sym:
-            if n.name == "psi":
-                if psi is None:
-                    raise ExprError("psi is not available in this context")
-                return psi
-            return word(_letters(n.name))
+            letters = _LETTERS.get(n.name)
+            if letters is not None:
+                return word(letters)
+            if n.name != "psi":
+                raise ExprSyntaxError(f"unknown symbol {n.name!r}")
+            if psi is None:
+                raise ExprError("psi is not available in this context")
+            return psi
         if kind is Neg:
             return -ev(n.arg)
         raise TypeError(f"not an expression node: {n!r}")
@@ -297,8 +303,7 @@ def to_element(node: Expr, psi: Element | None = None) -> Element:
     element's; a tree of literals alone is the scalar element at theirs.
 
     ``psi`` supplies the value of the ``psi`` symbol.  Every occurrence of a
-    word symbol shares one element, built once per process by
-    :func:`_word_element`; elements are immutable, so sharing is safe.
+    word symbol shares its element in :data:`_WORDS`, built at import.
     """
     arities: set[int] = set()
 
@@ -306,21 +311,11 @@ def to_element(node: Expr, psi: Element | None = None) -> Element:
         arities.add(arity)
         return value
 
-    value = evaluate(node, literal, _word_element, psi)
+    value = evaluate(node, literal, _WORDS.__getitem__, psi)
     if type(value) is not Element:  # a tree of literals alone
         value = Element.scalar(value, next(iter(arities)))
     if arities - {value.arity}:
         # Only a hand-built tree mixes arities.  Element arithmetic raises the
         # ArityMismatchError at the first operation that mixes them.
-        evaluate(node, Element.scalar, _word_element, psi)
+        evaluate(node, Element.scalar, _WORDS.__getitem__, psi)
     return value
-
-
-@cache
-def _word_element(letters: tuple[int, ...]) -> Element:
-    """The element of a symbol's word, built once per process.
-
-    It holds only words :class:`PauliWord` accepted, so at most the grammar's
-    20 symbols, and no product: every product still goes through ``pauli``.
-    """
-    return Element.from_word(PauliWord(letters))

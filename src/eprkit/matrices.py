@@ -55,23 +55,27 @@ class Matrix:
     rows are.  ``+``, ``-`` and unary ``-`` are entrywise and ``*`` is the
     matrix product.  A sum of disjoint supports cannot cancel or keep a
     common factor (Henrici's rule), and a product that summed no entry
-    holds no zero, so both skip the pruning pass :meth:`_set`.
+    holds no zero, so both skip the pruning pass :meth:`_new`.
     """
 
     __slots__ = ("_dim", "_den", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[complex]]):
         """A matrix of ints or integral complex literals like ``1j``."""
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("rows must make a square matrix")
-        self._set(len(rows), 1,
-                  [{c: _gaussian_integer(x) for c, x in enumerate(row)} for row in rows])
+        dim = len(rows)
+        if not dim or any(len(row) != dim for row in rows):
+            raise ValueError("rows must make a square matrix of dimension at least 1")
+        # Over denominator 1 there is no gcd to take: only the zeros go.
+        self._dim, self._den = dim, 1
+        self._rows = tuple({c: p for c, p in enumerate(map(_gaussian_integer, row)) if p != (0, 0)}
+                           for row in rows)
 
     @classmethod
     def _new(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
-        m = object.__new__(cls)
-        m._set(dim, den, rows)
-        return m
+        """A matrix in canonical form: zeros pruned, one gcd taken out."""
+        rows = [row if (0, 0) not in row.values() else
+                {c: p for c, p in row.items() if p != (0, 0)} for row in rows]
+        return cls._built(dim, *_lowest_terms(den, rows))
 
     @classmethod
     def _built(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
@@ -80,18 +84,13 @@ class Matrix:
         m._dim, m._den, m._rows = dim, den, tuple(rows)
         return m
 
-    def _set(self, dim: int, den: int, rows: list[Row]) -> None:
-        """Store the parts in canonical form: zeros pruned, one gcd taken out."""
-        rows = [row if (0, 0) not in row.values() else
-                {c: p for c, p in row.items() if p != (0, 0)} for row in rows]
-        self._dim = dim
-        self._den, self._rows = _lowest_terms(den, rows)
-
     @classmethod
     def scalar(cls, dim: int, re: int | Fraction = 1, im: int | Fraction = 0) -> "Matrix":
         """``re + i*im`` times the identity matrix of dimension ``dim``."""
         if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
             raise TypeError(f"scalar parts must be exact, int or Fraction, got ({re!r}, {im!r})")
+        if dim < 1:
+            raise ValueError(f"a matrix has dimension at least 1, got {dim}")
         den = lcm(re.denominator, im.denominator)
         # lcm leaves no factor common to den and both parts.
         return cls._scalar(dim, den, re.numerator * (den // re.denominator),
@@ -299,7 +298,5 @@ def _symbol_matrix(letters: tuple[int, ...]) -> Matrix:
 
 
 def approx_equal(a: Matrix, b: Matrix) -> bool:
-    """Whether two matrices of one shape are equal; shapes that differ raise."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"shapes differ: {a.dim} vs {b.dim}")
-    return a == b
+    """Whether two matrices of one dimension are equal; dimensions that differ raise."""
+    return isinstance(a, Matrix) and a._check(b) and a == b

@@ -293,12 +293,14 @@ class TestEvaluation:
         assert to_element(parse_expr("E12")) == E(1, 2)
         assert list(leaf.terms.items()) == [(PauliWord((1, 2)), ONE)]
 
-    def test_the_word_cache_holds_one_element_per_symbol(self):
+    def test_the_word_table_holds_one_element_per_symbol(self):
         names = [f"E{a}{b}" for a in range(4) for b in range(4)] + [f"e{k}" for k in range(4)]
+        leaves = []
         for name in names:
-            leaf = to_element(parse_expr(name))
-            assert to_element(parse_expr(f"{name}*{name} - {name}")) == 1 - leaf
-        assert exprparse._word_element.cache_info().currsize == len(names) == 20
+            leaves.append(to_element(parse_expr(name)))
+            assert to_element(parse_expr(f"{name}*{name} - {name}")) == 1 - leaves[-1]
+        assert list(map(id, leaves)) == list(map(id, exprparse._WORDS.values()))
+        assert len(exprparse._WORDS) == len(names) == 20
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)
@@ -313,6 +315,14 @@ class TestEvaluation:
     def test_scalar_only_expression(self):
         assert to_element(parse_expr("2 - 3/4*i")) == \
             Element.scalar(Scalar(2, Fraction(-3, 4)), 2)
+
+    @pytest.mark.parametrize("tree", [
+        Sym("E0"), Sym("X12"), Sym("e12"), Sym("E012"),
+        BinOp("/", Sym("E01"), Sym("E02")), BinOp("**", Sym("E01"), Sym("E02"))])
+    def test_a_name_or_operator_outside_the_grammar_evaluates_on_neither_route(self, tree):
+        for evaluate in (to_element, expr_matrix):
+            with pytest.raises(ExprSyntaxError, match="unknown (symbol|operator)"):
+                evaluate(tree)
 
     def test_a_plain_tuple_is_no_node_on_either_route(self):
         # It equals the BinOp of the same fields, but only the node types evaluate.

@@ -131,6 +131,12 @@ class TestMatrix:
         with pytest.raises(ValueError):
             Matrix([[1, 0]])
 
+    @pytest.mark.parametrize("build", [lambda: Matrix([]), lambda: Matrix.scalar(0),
+                                       lambda: Matrix.scalar(-1)], ids=["rows", "0", "-1"])
+    def test_a_dimension_below_one_is_refused(self, build):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            build()
+
     @pytest.mark.parametrize("n", [2 ** 53 + 1, -(10 ** 30), True])
     def test_int_entries_are_taken_exactly(self, n):
         m = Matrix([[n, 1j], [0, 2 + 0j]])
@@ -261,8 +267,13 @@ class TestApproxEqual:
         assert not approx_equal(element_matrix(E(1, 2)), element_matrix(E(2, 1)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="dimensions differ: 2 vs 4"):
             approx_equal(Matrix.scalar(2), Matrix.scalar(4))
+
+    def test_a_non_matrix_is_unequal_on_either_side(self):
+        m = word_matrix(PauliWord((1, 2)))
+        assert not approx_equal(m, "E12")
+        assert not approx_equal("E12", m)
 
 
 def test_the_oracle_imports_no_eprkit_module_but_the_tree_walk():
