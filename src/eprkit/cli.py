@@ -104,7 +104,7 @@ def _cmd_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_peres(_: argparse.Namespace) -> int:
-    from .epr import all_assignments, constraint_flags
+    from .epr import all_assignments, constraint_flags, peres_counts
 
     tables = all_assignments()
     heads = [f"m({word})" for word in tables[0]]
@@ -114,11 +114,11 @@ def _cmd_peres(_: argparse.Namespace) -> int:
         print(" ".join(f"{v:+{len(head)}d}" for head, v in zip(heads, table.values()))
               + " | " + " ".join(f"{str(ok):{len(name)}}" for name, ok in row.items())
               + f" | {'yes' if all(row.values()) else 'no'}")
-    satisfying = sum(all(row.values()) for row in flags)
-    relaxed = sum(row["opposite_x"] and row["opposite_y"] for row in flags)
+    counts = peres_counts(flags)
     print()
-    print(f"satisfying all constraints: {satisfying} of {len(tables)}")
-    print(f"satisfying all but the product constraint: {relaxed} of {len(tables)}")
+    print(f"satisfying all constraints: {counts['solutions']} of {counts['assignments']}")
+    print("satisfying all but the product constraint: "
+          f"{counts['solutions_without_product_constraint']} of {counts['assignments']}")
     return 0
 
 

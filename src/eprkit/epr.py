@@ -59,6 +59,7 @@ __all__ = [
     "classical_assignment_search",
     "constraint_flags",
     "fallacy_trace",
+    "peres_counts",
     "run_full_report",
     "verify_combined_elements",
     "verify_constraint_family",
@@ -377,6 +378,19 @@ def constraint_flags(table: dict[PauliWord, int]) -> dict[str, bool]:
             for name, (lhs, rhs) in zip(CONSTRAINT_NAMES, map(_sides, CONSTRAINT_NAMES.values()))}
 
 
+def peres_counts(flags: list[dict[str, bool]]) -> dict[str, int]:
+    """The Peres counts over the tables' :func:`constraint_flags`.
+
+    ``solutions`` counts the tables that satisfy every constraint row, and
+    ``solutions_without_product_constraint`` those that satisfy both
+    opposite-value rows.
+    """
+    return {"assignments": len(flags),
+            "solutions": sum(all(f.values()) for f in flags),
+            "solutions_without_product_constraint":
+                sum(f["opposite_x"] and f["opposite_y"] for f in flags)}
+
+
 def classical_assignment_search(
         constraints: tuple[str, ...] = tuple(CONSTRAINT_NAMES)) -> list[dict[PauliWord, int]]:
     """Exhaustively scan the 16 sign tables against the given constraints.
@@ -592,11 +606,7 @@ def run_full_report(fault: str | None = None) -> VerificationReport:
     triples_summary["incidence_degrees"] = degrees
     triples_summary["e12_memberships"] = [list(t.names) for t in e12]
 
-    flags = [constraint_flags(table) for table in all_assignments()]
-    peres = {"assignments": len(flags),
-             "solutions": sum(all(f.values()) for f in flags),
-             "solutions_without_product_constraint":
-                 sum(f["opposite_x"] and f["opposite_y"] for f in flags)}
+    peres = peres_counts([constraint_flags(table) for table in all_assignments()])
     homomorphism = _word_product_cross_check()
 
     structural_ok = (

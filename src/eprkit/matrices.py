@@ -10,12 +10,9 @@ independent by construction: the only eprkit module imported here is
 :mod:`~eprkit.exprparse`, the tree walk both routes share on purpose.  Even
 ``psi`` is this module's own product of letter matrices, taken from no
 caller.  Entries are exact Gaussian rationals, so two matrices agree
-exactly when they are equal.  Every result is kept canonical, but only
-an entry summed from two parts (a sum's shared entry, a product's repeated
-column) can cancel, so only such a result runs the gcd-and-prune pass.  Any
-other result holds no zero, since Gaussian integers have no zero divisors:
-a product takes one gcd, and a disjoint sum, a unit multiple, a scalar and
-a Kronecker product over denominator 1 are stored as built.
+exactly when they are equal.  A matrix keeps one invariant, that it stores
+no zero entry; its denominator is never reduced, so equality compares
+values across denominators.
 """
 
 from __future__ import annotations
@@ -49,13 +46,12 @@ class Matrix:
     """An immutable square matrix with exact Gaussian-rational entries.
 
     Stored as one positive denominator shared by all entries and, per row,
-    the nonzero entries only: column -> Gaussian-integer numerator
-    ``(re, im)``.  The denominator and the numerators have no common factor,
-    so two matrices are equal exactly when their dimension, denominator and
-    rows are.  ``+``, ``-`` and unary ``-`` are entrywise and ``*`` is the
-    matrix product.  A sum of disjoint supports cannot cancel or keep a
-    common factor (Henrici's rule), and a product that summed no entry
-    holds no zero, so both skip the pruning pass :meth:`_new`.
+    column -> Gaussian-integer numerator ``(re, im)`` for the nonzero
+    entries only: no row stores ``(0, 0)``.  The denominator is whatever
+    the arithmetic left, so two matrices are equal exactly when they have
+    one dimension, the same columns in each row, and the same value at
+    each.  ``+``, ``-`` and unary ``-`` are entrywise and ``*`` is the
+    matrix product.
     """
 
     __slots__ = ("_dim", "_den", "_rows")
@@ -65,21 +61,13 @@ class Matrix:
         dim = len(rows)
         if not dim or any(len(row) != dim for row in rows):
             raise ValueError("rows must make a square matrix of dimension at least 1")
-        # Over denominator 1 there is no gcd to take: only the zeros go.
         self._dim, self._den = dim, 1
         self._rows = tuple({c: p for c, p in enumerate(map(_gaussian_integer, row)) if p != (0, 0)}
                            for row in rows)
 
     @classmethod
     def _new(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
-        """A matrix in canonical form: zeros pruned, one gcd taken out."""
-        rows = [row if (0, 0) not in row.values() else
-                {c: p for c, p in row.items() if p != (0, 0)} for row in rows]
-        return cls._built(dim, *_lowest_terms(den, rows))
-
-    @classmethod
-    def _built(cls, dim: int, den: int, rows: list[Row]) -> "Matrix":
-        """A matrix from parts already in canonical form, stored as they are."""
+        """A matrix from parts that store no zero entry, kept as they are."""
         m = object.__new__(cls)
         m._dim, m._den, m._rows = dim, den, tuple(rows)
         return m
@@ -92,17 +80,14 @@ class Matrix:
         if dim < 1:
             raise ValueError(f"a matrix has dimension at least 1, got {dim}")
         den = lcm(re.denominator, im.denominator)
-        # lcm leaves no factor common to den and both parts.
         return cls._scalar(dim, den, re.numerator * (den // re.denominator),
                            im.numerator * (den // im.denominator))
 
     @classmethod
     def _scalar(cls, dim: int, den: int, re: int, im: int) -> "Matrix":
-        """``(re + i*im)/den`` times the identity, from parts with no common factor."""
-        if not (re or im):
-            return cls._built(dim, 1, [{} for _ in range(dim)])
+        """``(re + i*im)/den`` times the identity."""
         entry = (re, im)
-        return cls._built(dim, den, [{r: entry} for r in range(dim)])
+        return cls._new(dim, den, [{r: entry} if re or im else {} for r in range(dim)])
 
     @property
     def dim(self) -> int:
@@ -128,32 +113,21 @@ class Matrix:
         return True
 
     def __add__(self, other: object) -> "Matrix":
-        """The entrywise sum over the lcm of the two denominators.
-
-        Only an entry met on both sides can cancel or leave a common factor
-        (Henrici's rule), so a sum of disjoint supports is stored as built.
-        """
+        """The entrywise sum over the lcm of the two denominators."""
         if not self._check(other):
             return NotImplemented
         g = gcd(self._den, other._den)
         fa, fb = other._den // g, self._den // g  # bring both to the lcm
         rows = []
-        summed = False
         for ra, rb in zip(self._rows, other._rows):
             acc = dict(ra) if fa == 1 else {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
-            get = acc.get
+            pop = acc.pop
             for c, (re, im) in rb.items():
-                old = get(c)
-                if old is None:
-                    acc[c] = (re * fb, im * fb)
-                else:
-                    acc[c] = (old[0] + re * fb, old[1] + im * fb)
-                    summed = True
+                old_re, old_im = pop(c, (0, 0))
+                re, im = old_re + re * fb, old_im + im * fb
+                if re or im:  # a cancelled entry goes
+                    acc[c] = (re, im)
             rows.append(acc)
-        if not summed:
-            # Nothing cancels, and since each side was reduced, every prime
-            # of the lcm misses some scaled numerator.
-            return Matrix._built(self._dim, self._den * fa, rows)
         return Matrix._new(self._dim, self._den * fa, rows)
 
     def __sub__(self, other: object) -> "Matrix":
@@ -170,35 +144,26 @@ class Matrix:
             return NotImplemented
         right = other._rows
         rows = []
-        summed = False
         for row in self._rows:
             acc: Row = {}
-            get = acc.get
+            pop = acc.pop
             for k, (ar, ai) in row.items():
                 for c, (br, bi) in right[k].items():
-                    re, im = ar * br - ai * bi, ar * bi + ai * br
-                    old = get(c)
-                    if old is None:
+                    re, im = pop(c, (0, 0))
+                    re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
+                    if re or im:  # a cancelled entry goes; a later term may bring it back
                         acc[c] = (re, im)
-                    else:
-                        acc[c] = (old[0] + re, old[1] + im)
-                        summed = True
             rows.append(acc)
-        den = self._den * other._den
-        if summed:
-            return Matrix._new(self._dim, den, rows)
-        # Each entry is one product of nonzero parts, so none is zero.
-        if den == 1:
-            return Matrix._built(self._dim, 1, rows)
-        return Matrix._built(self._dim, *_lowest_terms(den, rows))
+        return Matrix._new(self._dim, self._den * other._den, rows)
 
     def times_i(self, k: int) -> "Matrix":
         """``i**k`` times this matrix: a swap of the parts, a negation, or both."""
+        if not isinstance(k, int):
+            raise TypeError(f"times_i takes an int power of i, got {k!r}")
         k %= 4
         if not k:
             return self
-        # Parts swapped or negated: no entry becomes zero and no gcd changes.
-        return Matrix._built(self._dim, self._den, [
+        return Matrix._new(self._dim, self._den, [
             {c: (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
              for c, (re, im) in row.items()}
             for row in self._rows])
@@ -209,28 +174,24 @@ class Matrix:
         rows = [{ca * d + cb: (ar * br - ai * bi, ar * bi + ai * br)
                  for ca, (ar, ai) in ra.items() for cb, (br, bi) in rb.items()}
                 for ra in self._rows for rb in other._rows]
-        den = self._den * other._den
-        if den == 1:  # no entry is summed, so each is one product of nonzero parts
-            return Matrix._built(self._dim * d, 1, rows)
-        return Matrix._new(self._dim * d, den, rows)
+        return Matrix._new(self._dim * d, self._den * other._den, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self._dim == other._dim and self._den == other._den
-                and self._rows == other._rows)
+        if self._dim != other._dim:
+            return False
+        da, db = self._den, other._den
+        if da == db:
+            return self._rows == other._rows
+        # a/da == b/db exactly when a*db == b*da, part by part.
+        return all(ra.keys() == rb.keys()
+                   and all(re * db == rb[c][0] * da and im * db == rb[c][1] * da
+                           for c, (re, im) in ra.items())
+                   for ra, rb in zip(self._rows, other._rows))
 
     def __repr__(self) -> str:
         return f"Matrix(dim={self._dim}, den={self._den}, rows={self._rows!r})"
-
-
-def _lowest_terms(den: int, rows: list[Row]) -> tuple[int, tuple[Row, ...]]:
-    """``den`` and ``rows`` with the gcd of ``den`` and every part divided out."""
-    g = den if den == 1 else gcd(den, *(x for row in rows for p in row.values() for x in p))
-    if g != 1:
-        den //= g
-        rows = [{c: (re // g, im // g) for c, (re, im) in row.items()} for row in rows]
-    return den, tuple(rows)
 
 
 def _gaussian_integer(x: int | complex) -> tuple[int, int]:

@@ -60,6 +60,16 @@ class TestVerify:
         assert code == 1
         assert out == (GOLDEN / "report-fault.json").read_text(encoding="utf-8")
         assert err == (GOLDEN / "report-fault.err").read_text(encoding="utf-8")
+        # The Markdown report fails the same way and marks exactly the checks
+        # whose JSON oracle_ok is false.
+        checks = json.loads(out)["checks"]
+        code, md, md_err = run_cli(capsys, "verify", "--inject-fault", "--format", "md")
+        assert (code, md_err) == (1, err)
+        rows = [line[2:-2].split(" | ") for line in md.splitlines()
+                if line.startswith("| ") and not line.startswith(("| check |", "| --- |"))]
+        assert [row[0] for row in rows] == [c["name"] for c in checks]
+        assert [row[4] == "DISAGREES" for row in rows] == [not c["oracle_ok"] for c in checks]
+        assert "DISAGREES" in md
 
 
 class TestExpect:

@@ -14,6 +14,7 @@ from eprkit.epr import (
     classical_assignment_search,
     constraint_flags,
     fallacy_trace,
+    peres_counts,
     run_full_report,
     verify_combined_elements,
     verify_constraint_family,
@@ -123,6 +124,13 @@ class TestClassicalSearch:
                 "opposite_y": m02 == -m20,
                 "opposite_products": m01 * m20 == -(m10 * m02),
             }
+
+    def test_the_counts_agree_with_the_search(self):
+        counts = peres_counts([constraint_flags(table) for table in all_assignments()])
+        assert counts == {"assignments": 16,
+                          "solutions": len(classical_assignment_search()),
+                          "solutions_without_product_constraint":
+                              len(classical_assignment_search(("opposite_x", "opposite_y")))}
 
     def test_the_search_reads_the_claim_table(self, monkeypatch):
         row = epr.CONSTRAINT_NAMES["opposite_products"]

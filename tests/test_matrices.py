@@ -112,9 +112,16 @@ class TestMatrix:
     def test_canonical_denominator(self):
         half = Matrix.scalar(2, Fraction(1, 2))
         assert half + half == Matrix.scalar(2)
-        assert half * half + half * half == half  # 2/4 reduces to 1/2
+        assert half * half + half * half == half  # 2/4 equals 1/2
         assert half.entry(0, 0) == (Fraction(1, 2), 0)
         assert half - half == Matrix.scalar(2, 0)
+
+    def test_times_i_takes_an_int_power_only(self):
+        m = word_matrix((1, 2))
+        assert m.times_i(-1) == m.times_i(3) != m
+        for k in [1.5, 3.0, "1", None]:
+            with pytest.raises(TypeError, match="times_i takes an int power of i"):
+                m.times_i(k)
 
     def test_trace(self):
         assert Matrix.scalar(4, Fraction(1, 3), 2).trace() == (Fraction(4, 3), 8)
@@ -150,15 +157,19 @@ class TestMatrix:
                 Matrix.scalar(4, re, im)
 
 
-def rebuilt(m):
-    """``m``'s parts passed once more through the canonicalizing ``_set``."""
-    return Matrix._new(m.dim, m._den, list(m._rows))
+def stores_no_zero(m):
+    """Whether ``m`` keeps the one storage invariant: no row holds a ``(0, 0)`` entry."""
+    return all((0, 0) not in row.values() for row in m._rows)
 
 
-# Four-dimensional matrices of three kinds: a word matrix times a unit (the
-# products that are kept as built), small Gaussian-integer matrices (whose
-# products sum entries and can cancel them), and either kind scaled by a
-# rational (denominators above 1).
+def entries(m):
+    return [m.entry(r, c) for r in range(m.dim) for c in range(m.dim)]
+
+
+# Four-dimensional matrices of three kinds: a word matrix times a unit (whose
+# products sum no entry), small Gaussian-integer matrices (whose products sum
+# entries and can cancel them), and either kind scaled by a rational
+# (denominators above 1).
 small = st.integers(-2, 2)
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
 unit_word_matrices = st.builds(lambda w, k: word_matrix(w).times_i(k),
@@ -179,45 +190,54 @@ TWO_E02 = Matrix.scalar(4, 2) * E02_MATRIX
 @example(ONE_PLUS_E01, ONE_MINUS_E01, 1, Fraction(0), Fraction(0))  # every entry cancels; zero
 @example(HALF_E01, TWO_E02, 2, Fraction(1, 2), Fraction(0))  # denominators with a common factor
 @example(word_matrix((1, 2)), word_matrix((2, 1)), 3, Fraction(-3, 4), Fraction(1, 6))
-# disjoint supports over denominators 2 and 6: a sum stored as built
+# disjoint supports over denominators 2 and 6
 @example(HALF_E01, Matrix.scalar(4, Fraction(1, 6)), 1, Fraction(1, 6), Fraction(0))
-# no entry summed, over 3*4 with 6 to take out: a product stored after one gcd
+# no entry summed, over 3*4 with a common factor 6 left in
 @example(Matrix.scalar(4, Fraction(2, 3)) * E01_MATRIX,
          Matrix.scalar(4, Fraction(3, 4), Fraction(3, 4)) * E02_MATRIX, 0, Fraction(0), Fraction(1))
-def test_every_result_is_stored_canonical(a, b, k, re, im):
-    assert rebuilt(a) == a
-    results = [a * b, b * a, a + b, a - b, -a, a.times_i(k), a.kron(b), b.kron(a),
-               Matrix.scalar(4, re, im), Matrix.scalar(2, re)]
-    for m in results:
-        assert rebuilt(m) == m
+def test_no_result_stores_a_zero_entry(a, b, k, re, im):
+    # (a - b) + b and a rescaled there and back hold a's values over other denominators.
+    results = [a, a * b, b * a, a + b, a - b, -a, a.times_i(k), a.kron(b), b.kron(a),
+               Matrix.scalar(4, re, im), Matrix.scalar(2, re), (a - b) + b,
+               a * Matrix.scalar(4, Fraction(1, 6)) * Matrix.scalar(4, 6)]
+    assert all(map(stores_no_zero, results))
+    assert results[-2] == a == results[-1]
+    # Equality is agreement at every entry, whatever the two denominators.
+    values = [entries(m) for m in results]
+    for (x, vx), (y, vy) in itertools.combinations(zip(results, values), 2):
+        assert (x == y) == (y == x) == (vx == vy)
 
 
-def test_the_canonical_shortcut_cases():
+def test_equality_compares_values_across_denominators():
     # Entries summed to zero, denominators sharing a factor, the zero scalar.
-    assert ONE_PLUS_E01 * ONE_MINUS_E01 == Matrix.scalar(4, 0)
-    assert (ONE_PLUS_E01 * ONE_MINUS_E01)._rows == ({},) * 4
-    product = HALF_E01 * TWO_E02
-    assert product == word_matrix((0, 3)).times_i(1) and product._den == 1
+    zero = ONE_PLUS_E01 * ONE_MINUS_E01
+    assert zero == Matrix.scalar(4, 0) and stores_no_zero(zero)
+    assert HALF_E01 * TWO_E02 == word_matrix((0, 3)).times_i(1)
     assert HALF_E01.kron(TWO_E02) == word_matrix((0, 1, 0, 2))
     disjoint = HALF_E01 + Matrix.scalar(4, Fraction(1, 6))
-    assert disjoint._den == 6
     assert disjoint.entry(0, 0) == (Fraction(1, 6), 0) and disjoint.entry(0, 1) == (Fraction(1, 2), 0)
     product = (Matrix.scalar(4, Fraction(2, 3)) * E01_MATRIX
                * (Matrix.scalar(4, Fraction(3, 4), Fraction(3, 4)) * E02_MATRIX))
     assert product == Matrix.scalar(4, Fraction(1, 2), Fraction(1, 2)) * word_matrix((0, 3)).times_i(1)
-    assert product._den == 2
-    assert Matrix.scalar(2, Fraction(0), Fraction(0))._rows == ({}, {})
-    assert Matrix.scalar(2, Fraction(2, 4), Fraction(-1, 6))._den == 6
+    assert Matrix.scalar(4, Fraction(1, 2)) * Matrix.scalar(4, 2) == Matrix.scalar(4)
+    assert Matrix.scalar(4) == Matrix.scalar(4, Fraction(1, 3)) * Matrix.scalar(4, 3)
+    assert HALF_E01 * Matrix.scalar(4, 2) == E01_MATRIX != HALF_E01
+    # Over denominators 2 and 1, one support: the real parts agree, the imaginary do not.
+    one_plus_i = Matrix.scalar(4, Fraction(1, 2), Fraction(1, 2)) * Matrix.scalar(4, 2)
+    assert one_plus_i == Matrix.scalar(4, 1, 1) != Matrix.scalar(4, 1, 2)
+    # A different support over another denominator.
+    assert E01_MATRIX * Matrix.scalar(4, Fraction(1, 2)) * Matrix.scalar(4, 2) != Matrix.scalar(4)
 
 
 @pytest.mark.parametrize("dim, texts", [(4, ("0*E01", "0")), (2, ("0*e1", "0*e0"))])
 def test_the_zero_scalar_is_built_empty(dim, texts):
     zero = Matrix.scalar(dim, 0)
-    assert zero._den == 1 and zero._rows == ({},) * dim
-    assert zero == Matrix._new(dim, 7, [{r: (0, 0)} for r in range(dim)])  # the pruned form
-    assert zero == Matrix.scalar(dim, Fraction(0), 0) == Matrix._scalar(dim, 1, 0, 0)
+    assert zero._rows == ({},) * dim
+    assert zero == Matrix.scalar(dim, Fraction(0), 0) == Matrix._scalar(dim, 7, 0, 0)
+    assert Matrix._scalar(dim, 7, 0, 0)._rows == zero._rows  # empty over any denominator
     for text in texts:
-        assert expr_matrix(parse_expr(text)) == zero
+        m = expr_matrix(parse_expr(text))
+        assert m == zero and m._rows == zero._rows
 
 
 class TestElementMatrix:

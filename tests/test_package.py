@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +75,23 @@ def test_a_name_loads_only_its_home_and_what_that_imports():
 def test_from_import_still_gives_a_submodule():
     assert "eprkit.epr" in loaded_after("from eprkit import epr\n"
                                         "assert epr is sys.modules['eprkit.epr']")
+
+
+def test_the_readme_quick_start_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            shown.append((eval(code, namespace), comment.strip()))
+        elif code:
+            exec(code, namespace)
+    (psi, psi_says), (product, product_says), (equal, equal_says), \
+        (nonzero, nonzero_says), (mean, mean_says), (overall, overall_says) = shown
+    assert str(psi) == psi_says == "-1/4 + 1/4*E11 + 1/4*E22 + 1/4*E33"
+    assert str(product) == product_says == "i*E03"
+    assert equal is True and equal_says.startswith("True:")
+    assert nonzero != 0 and nonzero_says.startswith("nonzero as an element")
+    assert mean == -1 and str(mean) == "-1" and mean_says == "-1, exactly"
+    assert overall == "pass" and overall_says == '"pass"'
