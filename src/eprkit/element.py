@@ -8,7 +8,9 @@ terms, and no factor common to the denominator and every numerator), which
 makes equality plain structural equality.  The gcd pass runs only where a
 sum has a word on both sides or a product has several terms.  Leaves,
 products with a unit factor and sums of distinct words cannot reduce and are
-stored as built; a one-word product takes the gcd of its single pair.
+stored as built; a one-word product takes the gcd of its single pair, and
+a scalar operand of a product scales the numerators with one gcd and
+multiplies no words.
 Words carry no order; they are listed in lexicographic order wherever terms
 are read.  An element is built from words and then arithmetic.
 :class:`Scalar` is the public single-value type, stored like one term: a
@@ -221,7 +223,8 @@ class Element:
     An element is built from words (:meth:`from_word`, :meth:`scalar`,
     :meth:`one`, :meth:`zero`, :func:`E`, :func:`e`) and then arithmetic.
     Arithmetic accepts plain ints, Fractions and scalars wherever a scalar
-    makes sense, and turns one into that multiple of the identity word first.
+    makes sense: a product or quotient scales the numerators by it, and a sum
+    or difference adds it as that multiple of the identity word.
     """
 
     __slots__ = ("_arity", "_den", "_num")
@@ -339,14 +342,30 @@ class Element:
                             {w: (-re, -im) for w, (re, im) in self._num.items()})
 
     def __mul__(self, other: object) -> "Element":
-        o = self._coerce_operand(other)
-        if o is None:
-            return NotImplemented
-        den = self._den * o._den
-        if len(self._num) == 1 == len(o._num):
+        if not isinstance(other, Element):
+            # A scalar scales every numerator: one gcd and no word product.
+            # Gaussian integers have no zero divisors, so no pair becomes (0, 0).
+            s = other if type(other) is Scalar else Scalar._coerce(other)
+            if s is None:
+                return NotImplemented
+            sr, si = s._re, s._im
+            if not (sr or si):
+                return Element._new(self._arity, 1, {})
+            num = {w: (ar * sr - ai * si, ar * si + ai * sr)
+                   for w, (ar, ai) in self._num.items()}
+            den = self._den * s._den
+            if den != 1:
+                g = gcd(den, *(x for pair in num.values() for x in pair))
+                if g != 1:
+                    den, num = den // g, {w: (re // g, im // g) for w, (re, im) in num.items()}
+            return Element._new(self._arity, den, num)
+        if other._arity != self._arity:
+            raise ArityMismatchError(f"arities differ: {self._arity} vs {other._arity}")
+        den = self._den * other._den
+        if len(self._num) == 1 == len(other._num):
             # One word product.  Two nonzero Gaussian integers give a nonzero
             # pair, and over denominator 1 no gcd comes out: it is canonical.
-            [(wa, (ar, ai))], [(wb, (br, bi))] = self._num.items(), o._num.items()
+            [(wa, (ar, ai))], [(wb, (br, bi))] = self._num.items(), other._num.items()
             k, w = mul_words(wa, wb)
             re, im = ar * br - ai * bi, ar * bi + ai * br
             if k:
@@ -359,7 +378,7 @@ class Element:
             return Element._new(self._arity, den, {w: (re, im)})
         acc: dict[PauliWord, tuple[int, int]] = {}
         get = acc.get
-        right = o._num.items()
+        right = other._num.items()
         for wa, (ar, ai) in self._num.items():
             for wb, (br, bi) in right:
                 k, w = mul_words(wa, wb)
@@ -368,14 +387,16 @@ class Element:
                     re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
                 old = get(w)
                 acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        if (self._den, *self._num.values()) in _UNITS or (o._den, *o._num.values()) in _UNITS:
+        if ((self._den, *self._num.values()) in _UNITS
+                or (other._den, *other._num.values()) in _UNITS):
             return Element._new(self._arity, den, acc)
         return Element._new(self._arity, *_canonical(den, acc))
 
     def __rmul__(self, other: object) -> "Element":
-        # Only a scalar reaches this: a multiple of the identity word commutes
-        # with every word.  Looked up by name, so that a wrapper of __mul__
-        # (perfbench's tracer) sees a scalar on the left as well.
+        # Only a scalar reaches this, and a scalar commutes with every element,
+        # so it scales the numerators as on the right.  Looked up by name, so
+        # that a wrapper of __mul__ (perfbench's tracer) sees a scalar on the
+        # left as well.
         return self.__mul__(other)
 
     def __truediv__(self, other: object) -> "Element":

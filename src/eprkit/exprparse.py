@@ -13,9 +13,12 @@ Grammar (whitespace insignificant, products left-associative)::
 
 '/' appears only inside rational literals; to divide by i, multiply by -i.
 
-The parser decides an expression's arity from the names it reads: ``psi``
+The parser decides an expression's arity from the names in it: ``psi``
 and the ``E`` symbols are two-site, the ``e`` symbols single-site, and a
-text with neither is two-site.  Every literal, ``i`` and ``I`` included, is
+text with neither is two-site.  It reads them off the text by substring
+before parsing: in a text that parses, the letters ``E`` and ``e`` and the
+run ``psi`` occur only inside those names, and the arity of a text that
+does not parse is never read.  Every literal, ``i`` and ``I`` included, is
 built at that arity.  Single-site and two-site symbols cannot be mixed in
 one expression: :func:`parse_expr` raises :class:`ArityConflictError` once
 the text has parsed, so a syntax error takes precedence.
@@ -143,12 +146,17 @@ _SYMBOLS = {name: Sym(name) for name in (*_LETTERS, "psi")}
 _WORDS = {letters: Element.from_word(PauliWord(letters)) for letters in _LETTERS.values()}
 
 
+# The parser builds BinOp and Neg nodes with tuple.__new__: the same
+# NamedTuple, without the Python-level __new__ that only forwards to it.
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        arities = {2 if name == "psi" else _PREFIXES[name[0]][0] for kind, name, _ in self.tokens
-                   if kind == "name" and (name[0] in _PREFIXES or name == "psi")}
+        # In a text that parses, a prefix's letter or "psi" occurs only inside
+        # that name; a text that does not parse never has its arity read.
+        arities = {sites for prefix, (sites, *_) in _PREFIXES.items() if prefix in text}
+        if "psi" in text:
+            arities.add(2)
         self.mixed = len(arities) > 1
         self.arity = 1 if arities == {1} else 2
 
@@ -166,7 +174,7 @@ class _Parser:
             kind, text, _ = tokens[self.pos]
             if kind == "op" and text in "+-":
                 self.pos += 1
-                node = BinOp(text, node, self.term())
+                node = tuple.__new__(BinOp, (text, node, self.term()))
             else:
                 return node
 
@@ -177,7 +185,7 @@ class _Parser:
             kind, text, _ = tokens[self.pos]
             if kind == "op" and text == "*":
                 self.pos += 1
-                node = BinOp("*", node, self.factor())
+                node = tuple.__new__(BinOp, ("*", node, self.factor()))
             else:
                 return node
 
@@ -189,7 +197,7 @@ class _Parser:
             return self.symbol(text, offset) if node is None else node
         if kind == "op" and text == "-":
             self.pos += 1
-            return Neg(self.factor())
+            return tuple.__new__(Neg, (self.factor(),))
         if kind == "op" and text == "(":
             self.pos += 1
             node = self.expr()
@@ -298,7 +306,7 @@ def to_element(node: Expr, psi: Element | None = None) -> Element:
 
     A literal is its :class:`Scalar`, so a subtree of literals alone, such as
     the coefficient ``(-3/10+5/7*i)``, folds to one scalar by scalar
-    arithmetic and meets a word as that multiple of the identity word.  The
+    arithmetic, and a product scales the word's numerators by it.  The
     literals' arities are collected on the way and must all be the
     element's; a tree of literals alone is the scalar element at theirs.
 

@@ -438,3 +438,54 @@ def test_printing_builds_no_negated_scalar(monkeypatch):
         raise AssertionError("printing negated a scalar")
     monkeypatch.setattr(Scalar, "__neg__", refuse)
     assert str(el) == expected
+
+
+# --- a scalar factor --------------------------------------------------------
+# A scalar operand scales the numerators; the general path multiplies by that
+# multiple of the identity word.  Both must store the same canonical element.
+
+WORDS1 = [PauliWord((k,)) for k in range(4)]
+one_and_two_site_elements = st.one_of(
+    wide_elements,
+    st.builds(build, st.dictionaries(st.sampled_from(WORDS1), wide_scalars, max_size=4),
+              st.just(1)),
+)
+scalar_operands = st.one_of(st.just(0), st.just(ZERO), st.integers(-10**6, 10**6),
+                            wide_rationals, wide_scalars)
+
+
+def assert_canonical(el):
+    pairs = list(el._num.values())
+    assert (0, 0) not in pairs
+    assert el._den > 0 and gcd(el._den, *(x for pair in pairs for x in pair)) == 1
+
+
+@given(one_and_two_site_elements, scalar_operands)
+@example(E(0, 1) / 2, 0)  # the zero scalar: nothing over 1
+@example(Element.zero(1), Fraction(2, 3))
+@example(HALF_ONE_PLUS_I_E01, Scalar(1, -1))  # (1+i)/2 * (1-i) = 1: the denominator goes
+@example(e(1) / 6 + e(2) / 4, 12)
+def test_a_scalar_operand_scales_the_numerators(x, s):
+    general = x * Element.scalar(s, x.arity)
+    for product in (x * s, s * x):
+        assert product == general
+        assert hash(product) == hash(general)
+        assert_canonical(product)
+    if s:
+        quotient, general = x / s, x * Element.scalar(ONE / s, x.arity)
+        assert quotient == x * (ONE / s) == general
+        assert hash(quotient) == hash(general)
+        assert_canonical(quotient)
+
+
+def test_a_scalar_operand_multiplies_no_words(monkeypatch):
+    x = E(0, 1) / 6 - IM * E(2, 3) + 3
+    expected = [(w, c * Scalar(Fraction(1, 2), 1)) for w, c in x.terms.items()]
+
+    def refuse(a, b):
+        raise AssertionError("a scalar operand multiplied words")
+    monkeypatch.setattr("eprkit.element.mul_words", refuse)
+    for product in (x * Scalar(Fraction(1, 2), 1), Scalar(Fraction(1, 2), 1) * x):
+        assert terms_of(product) == expected
+    assert terms_of(x / 2) == [(w, c / 2) for w, c in x.terms.items()]
+    assert (x * 0).is_zero and (0 * x).is_zero

@@ -1,5 +1,6 @@
 """The expression grammar: parsing, evaluation, printing round trip, errors."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,17 @@ class TestParsing:
         assert typed(parse_expr("2*e1 + I")) == typed(BinOp(
             "+", BinOp("*", Lit(Scalar(2), 1), Sym("e1")), Lit(ONE, 1)))
         assert typed(parse_expr("(i - psi)")) == typed(BinOp("-", Lit(IM, 2), Sym("psi")))
+        assert typed(parse_expr("e1*2")) == typed(BinOp("*", Sym("e1"), Lit(Scalar(2), 1)))
+        assert typed(parse_expr("2*i")) == typed(BinOp("*", Lit(Scalar(2), 2), Lit(IM, 2)))
+
+    def test_parsed_nodes_are_the_named_tuple_types(self):
+        tree = parse_expr("-E01*E02 - 3")
+        built = BinOp("-", BinOp("*", Neg(Sym("E01")), Sym("E02")), Lit(Scalar(3), 2))
+        assert type(tree) is BinOp and type(tree.left) is BinOp
+        assert type(tree.left.left) is Neg and type(tree.right) is Lit
+        assert (tree.op, tree.left.op, tree.left.left.arg) == ("-", "*", Sym("E01"))
+        assert tree == built and hash(tree) == hash(built)
+        assert typed(tree) == typed(built)
 
     @pytest.mark.parametrize("name", [*(f"E{a}{b}" for a in range(4) for b in range(4)),
                                       *(f"e{k}" for k in range(4)), "psi"])
@@ -174,6 +186,9 @@ class TestParseErrors:
         ("e01", ExprSyntaxError, 0, "single-site symbols are e followed by one digit, got 'e01'"),
         ("psi2", ExprSyntaxError, 0, "unknown symbol 'psi2'"),
         ("Psi", ExprSyntaxError, 0, "unknown symbol 'Psi'"),
+        ("xE01", ExprSyntaxError, 0, "unknown symbol 'xE01'"),
+        # The arity scan sees an 'e' here, but a text that fails to parse has no arity.
+        ("E01 + xe1", ExprSyntaxError, 6, "unknown symbol 'xe1'"),
         ("1 + E31*E44", RangeError, 8, "two-site digits must be 0..3, got 'E44'"),
         ("(E01 - e9)", RangeError, 7, "single-site digit must be 0..3, got 'e9'"),
     ])
@@ -228,6 +243,8 @@ class TestArity:
             parse_expr("e1*E01")
         with pytest.raises(ArityConflictError):
             parse_expr("psi + e2")
+        with pytest.raises(ArityConflictError):
+            parse_expr("psi+e1")
         # The conflict is raised once the text has parsed: a syntax error comes first.
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr("e1*E01 + )")
@@ -301,6 +318,16 @@ class TestEvaluation:
             assert to_element(parse_expr(f"{name}*{name} - {name}")) == 1 - leaves[-1]
         assert list(map(id, leaves)) == list(map(id, exprparse._WORDS.values()))
         assert len(exprparse._WORDS) == len(names) == 20
+
+    def test_an_800_factor_chain_evaluates_at_the_default_recursion_limit(self):
+        # The tree walk takes one frame per factor, so 800 factors fit under
+        # the default limit of 1000 with the test runner's frames on top.
+        assert sys.getrecursionlimit() == 1000
+        tree = parse_expr("*".join(["E01", "E02", "E03"][k % 3] for k in range(800)))
+        # 266 times E01*E02*E03 = i, which is -1, then E01*E02 = i*E03.
+        expected = -IM * E(0, 3)
+        assert to_element(tree) == expected
+        assert expr_matrix(tree) == element_matrix(expected)
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)

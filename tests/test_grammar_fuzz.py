@@ -16,7 +16,7 @@ import itertools
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eprkit.cli import main
-from eprkit.exprparse import parse_expr, to_element
+from eprkit.exprparse import BinOp, ExprError, Lit, Neg, Sym, _Parser, parse_expr, to_element
 from eprkit.matrices import element_matrix, expr_matrix
 from eprkit.singlet import build_singlet
 
@@ -105,3 +105,32 @@ def test_eval_prints_a_reparsing_element_or_names_the_error(text):
     assert to_element(parse_expr(out[:-1])) == el
     assert element_matrix(el) == expr_matrix(tree)
 
+
+
+def nodes(node):
+    yield node
+    if type(node) is BinOp:
+        yield from nodes(node.left)
+        yield from nodes(node.right)
+    elif type(node) is Neg:
+        yield from nodes(node.arg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts())
+@example("E01 + xe1")
+@example("psi*e1")
+def test_the_arity_scan_matches_the_names_the_text_parses_to(text):
+    # The parser reads the arity off the text by substring; on a text that
+    # parses, it must match the arities of the symbols in the tree.
+    try:
+        parser = _Parser(text)
+        tree = parser.expr()
+    except ExprError:
+        return  # the arity of a text that does not parse is never read
+    if parser.tokens[parser.pos][0] != "end":
+        return
+    arities = {1 if n.name[0] == "e" else 2 for n in nodes(tree) if type(n) is Sym}
+    assert parser.mixed == (len(arities) > 1)
+    assert parser.arity == (1 if arities == {1} else 2)
+    assert {n.arity for n in nodes(tree) if type(n) is Lit} <= {parser.arity}
