@@ -22,8 +22,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprkit",
         description="Exact verifier for the two-site singlet identity suite.",
-        epilog="Division is not part of the expression grammar; to divide by "
-               "i, multiply by -i (for example E13*E01*-i).")
+        epilog="'/' appears only inside rational literals (3/4); to divide by i, "
+               "multiply by -i (for example E13*E01*-i).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run every check and report")

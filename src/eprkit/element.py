@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .pauli import ArityMismatchError, PauliWord, mul_words
+from .pauli import SCALAR_ARITY, ArityMismatchError, PauliWord, mul_words
 
 __all__ = [
     "E",
@@ -426,16 +426,9 @@ class Element:
         return self.coefficient(PauliWord.identity(self._arity))
 
     def __str__(self) -> str:
-        if not self._num:
-            return "0*e0" if self._arity == 1 else "0"
-        parts = [_format_term(w, c) for w, c in self.terms.items()]
-        text = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
-        return text
+        terms = self.terms.items() if self._num else [(PauliWord.identity(self._arity), ZERO)]
+        first, *rest = [_format_term(w, c) for w, c in terms]
+        return first + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in rest)
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
@@ -485,15 +478,15 @@ class _Terms(Mapping):
 def _format_term(word: PauliWord, coeff: Scalar) -> str:
     """One term in the expression grammar, so printed elements re-parse.
 
-    The identity term is a bare scalar, except at one site, where it names
-    ``e0`` so that the printed element keeps its arity.
+    The identity term is a bare scalar at the scalar arity alone; at any
+    other it is named, so that the printed element keeps its arity.
     """
     c = str(coeff)
     den, re, im = coeff._den, coeff._re, coeff._im
     compound = re and im
-    if word.is_identity and word.arity != 1:
+    if word.is_identity and word.arity == SCALAR_ARITY:
         return f"({c})" if compound else c
-    name = "e0" if word.is_identity else word.name
+    name = word.name
     if den == 1 and not im and re in (1, -1):
         return name if re == 1 else f"-{name}"
     if compound:

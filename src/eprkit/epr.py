@@ -434,12 +434,18 @@ class FallacyReport(NamedTuple):
         return [s.check for s in self.steps]
 
 
+# The battery row the fallacy's conclusion clashes with: its words, opposite sign.
+_CONCLUSION = _FALLACY_STEPS[-1][-1]
+_CLASH_WITH = next(row.name for row in CLAIMS["battery"]
+                   if (row.lhs, row.rhs) == (_CONCLUSION.lhs, "-" + _CONCLUSION.rhs))
+
+
 def fallacy_trace(s: SingletState) -> FallacyReport:
     """Replay the slide from sector equalities to the false E12 = E21."""
     checks = _run("fallacy", s.psi)
     steps = [FallacyStep(description, legitimate, note, check)
              for (description, legitimate, note, _), check in zip(_FALLACY_STEPS, checks)]
-    return FallacyReport(steps=steps, clash_with="E12 = -E21 (mod psi)")
+    return FallacyReport(steps=steps, clash_with=_CLASH_WITH)
 
 
 # --- report assembly ----------------------------------------------------------
@@ -466,6 +472,9 @@ class VerificationReport(NamedTuple):
         return _json(self.to_dict()) + "\n"
 
     def to_markdown(self) -> str:
+        def sets(key: str) -> str:
+            return ", ".join("(" + ", ".join(t) + ")" for t in self.triples[key]) or "none"
+
         lines = [
             "# eprkit verification report",
             "",
@@ -487,15 +496,9 @@ class VerificationReport(NamedTuple):
             "",
             f"- enumerated: {self.triples['count']}",
             f"- incidence degrees: {self.triples['incidence_degrees']}",
-            "- found but not in the published list: "
-            + (", ".join("(" + ", ".join(t) + ")"
-                         for t in self.triples["missing_from_paper"]) or "none"),
-            "- listed but not found: "
-            + (", ".join("(" + ", ".join(t) + ")"
-                         for t in self.triples["extra_in_paper"]) or "none"),
-            "- sets containing E12: "
-            + ", ".join("(" + ", ".join(t) + ")"
-                        for t in self.triples["e12_memberships"]),
+            "- found but not in the published list: " + sets("missing_from_paper"),
+            "- listed but not found: " + sets("extra_in_paper"),
+            "- sets containing E12: " + sets("e12_memberships"),
             "",
             "## classical assignment search",
             "",

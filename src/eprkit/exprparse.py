@@ -13,22 +13,22 @@ Grammar (whitespace insignificant, products left-associative)::
 
 '/' appears only inside rational literals; to divide by i, multiply by -i.
 
-The parser decides an expression's arity from the names in it: ``psi``
-and the ``E`` symbols are two-site, the ``e`` symbols single-site, and a
-text with neither is two-site.  It reads them off the text by substring
-before parsing: in a text that parses, the letters ``E`` and ``e`` and the
+The parser decides an expression's arity from the names in it: ``psi`` is
+two-site, a word name has the sites its prefix gives, and any other text
+has :data:`~eprkit.pauli.SCALAR_ARITY`.  It reads them off the text by
+substring before parsing: in a text that parses, a prefix's letter and the
 run ``psi`` occur only inside those names, and the arity of a text that
 does not parse is never read.  Every literal, ``i`` and ``I`` included, is
-built at that arity.  Single-site and two-site symbols cannot be mixed in
-one expression: :func:`parse_expr` raises :class:`ArityConflictError` once
-the text has parsed, so a syntax error takes precedence.
+built at that arity.  Names of different arities cannot be mixed in one
+expression: :func:`parse_expr` raises :class:`ArityConflictError` once the
+text has parsed, so a syntax error takes precedence.
 
-The word names are written once, in the prefix table :data:`_PREFIXES`:
-``E`` and two digits, ``e`` and one.  The names' letters, the symbol table
-:data:`_SYMBOLS` of shared :class:`Sym` nodes, each word's element and the
-arity scan are read from it, and so are a near miss's two errors (``E0``,
-``E04``).  The tree walk refuses any name or operator the parser cannot
-read, so a hand-built tree outside the grammar evaluates on neither route.
+The word names are the :attr:`PauliWord.name` s of the prefix table
+:data:`~eprkit.pauli.PREFIXES`.  The symbol table :data:`_SYMBOLS` of shared
+:class:`Sym` nodes, each word's element and the arity scan are read from it;
+this module adds only a near miss's two errors per prefix (``E0``, ``E04``).
+The tree walk refuses any name or operator the parser cannot read, so a
+hand-built tree outside the grammar evaluates on neither route.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import product
 from typing import Callable, NamedTuple, TypeVar, Union
 
 from .element import Element, IM, ONE, Scalar, _scalar
-from .pauli import PauliWord
+from .pauli import PREFIXES, SCALAR_ARITY, PauliWord
 
 __all__ = [
     "ArityConflictError",
@@ -130,15 +130,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# The word names: prefix -> (sites, a malformed name's error, a digit's range error).
-_PREFIXES = {
-    "E": (2, "two-site symbols are E followed by two digits", "two-site digits must be 0..3"),
-    "e": (1, "single-site symbols are e followed by one digit", "single-site digit must be 0..3"),
+# Per prefix of the name table: a malformed name's error, a digit's range error.
+_NAME_ERRORS = {
+    "E": ("two-site symbols are E followed by two digits", "two-site digits must be 0..3"),
+    "e": ("single-site symbols are e followed by one digit", "single-site digit must be 0..3"),
 }
-# Each word name's letters: E00..E33 and e0..e3.
-_LETTERS = {prefix + "".join(map(str, letters)): letters
-            for prefix, (sites, *_) in _PREFIXES.items()
-            for letters in product(range(4), repeat=sites)}
+# Each word name's letters, for every arity the name table holds.
+_LETTERS = {PauliWord(letters).name: letters
+            for sites in PREFIXES.values() for letters in product(range(4), repeat=sites)}
 # The symbol table: one shared node per fixed name of the grammar.
 _SYMBOLS = {name: Sym(name) for name in (*_LETTERS, "psi")}
 # Each word's element, keyed by its letters: every occurrence of a symbol
@@ -154,11 +153,11 @@ class _Parser:
         self.pos = 0
         # In a text that parses, a prefix's letter or "psi" occurs only inside
         # that name; a text that does not parse never has its arity read.
-        arities = {sites for prefix, (sites, *_) in _PREFIXES.items() if prefix in text}
+        arities = {sites for prefix, sites in PREFIXES.items() if prefix in text}
         if "psi" in text:
-            arities.add(2)
+            arities.add(2)  # psi is a two-site element
         self.mixed = len(arities) > 1
-        self.arity = 1 if arities == {1} else 2
+        self.arity = arities.pop() if len(arities) == 1 else SCALAR_ARITY
 
     def expect_op(self, op: str) -> None:
         kind, text, offset = self.tokens[self.pos]
@@ -227,11 +226,11 @@ class _Parser:
         """
         if text in ("i", "I"):
             return Lit(IM if text == "i" else ONE, self.arity)
-        if text[0] not in _PREFIXES:
+        if text[0] not in _NAME_ERRORS:
             raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
-        sites, malformed, out_of_range = _PREFIXES[text[0]]
+        malformed, out_of_range = _NAME_ERRORS[text[0]]
         digits = text[1:]
-        if len(digits) != sites or not all("0" <= c <= "9" for c in digits):
+        if len(digits) != PREFIXES[text[0]] or not all("0" <= c <= "9" for c in digits):
             raise ExprSyntaxError(f"{malformed}, got {text!r}", offset)
         raise RangeError(f"{out_of_range}, got {text!r}", offset)
 

@@ -18,7 +18,9 @@ from typing import Iterable
 
 __all__ = [
     "ArityMismatchError",
+    "PREFIXES",
     "PauliWord",
+    "SCALAR_ARITY",
     "commute_sign",
     "compose_letters",
     "mul_words",
@@ -28,6 +30,13 @@ __all__ = [
 class ArityMismatchError(ValueError):
     """Two words or elements over different numbers of sites were combined."""
 
+
+# The grammar's word names, written only here: a prefix for the sites, then a
+# digit per site (E00..E33, e0..e3).  A word at any other arity has no name,
+# and a text that names no word has SCALAR_ARITY sites.
+PREFIXES = {"E": 2, "e": 1}
+SCALAR_ARITY = 2
+_PREFIX_OF = {sites: prefix for prefix, sites in PREFIXES.items()}
 
 # Orientation of the letter algebra: e1*e2 = i*e3 and cyclic images.
 # Reversed pairs pick up -i via anticommutation.
@@ -92,19 +101,17 @@ class PauliWord(tuple):
     def is_identity(self) -> bool:
         return not any(self)
 
-    @property
-    def name(self) -> str:
-        """Symbol used in printed elements and the expression grammar."""
-        if self.is_identity:
-            return "I"
-        digits = "".join(str(x) for x in self)
-        return ("e" if len(self) == 1 else "E") + digits
+    def __str__(self) -> str:
+        """The word's name in the expression grammar, which reads back as this word."""
+        prefix = _PREFIX_OF.get(len(self))
+        if prefix is None:
+            raise ValueError(f"the grammar names no word of {len(self)} sites")
+        return prefix + "".join(map(str, self))
+
+    name = property(__str__)
 
     def __repr__(self) -> str:
         return f"PauliWord({tuple(self)!r})"
-
-    def __str__(self) -> str:
-        return self.name
 
 
 # The units identity() shares: one and two sites, the arities _PRODUCTS holds.

@@ -126,14 +126,10 @@ def paper_sets_as_words() -> list[tuple[PauliWord, PauliWord, PauliWord]]:
 
 def diff_with_paper_list(found: list[BasicTriple]) -> DiffReport:
     """Diff the enumerated triples against the published list, :data:`PAPER_BASIC_SETS`."""
-    listed = paper_sets_as_words()
-    listed_keys = {frozenset(s) for s in listed}
-    found_sets = {frozenset(t.members): t for t in found}
-    missing = tuple(t for key, t in sorted(
-        found_sets.items(), key=lambda kv: kv[1].members)
-        if key not in listed_keys)
-    extra = tuple(s for s in sorted(listed)
-                  if frozenset(s) not in found_sets)
+    listed = paper_sets_as_words()  # each set sorted, as a triple's members are
+    found_sets = {t.members: t for t in found}
+    missing = tuple(t for members, t in sorted(found_sets.items()) if members not in listed)
+    extra = tuple(s for s in sorted(listed) if s not in found_sets)
     return DiffReport(found_count=len(found),
                       missing_from_paper=missing,
                       extra_in_paper=extra)

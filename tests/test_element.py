@@ -117,6 +117,27 @@ class TestElementBasics:
         assert str(Element.one(2)) == "1"
         assert str(Element.zero(2)) == "0"
 
+    def test_an_element_at_an_arity_without_names_does_not_print(self):
+        # A bare scalar reads back at two sites, so a three-site element has no text.
+        for el in (Element.one(3), Element.zero(3), Element.from_word(PauliWord((1, 2, 3)))):
+            with pytest.raises(ValueError, match="no word of 3 sites"):
+                str(el)
+
+    def test_a_coefficient_that_is_no_scalar_is_refused(self):
+        with pytest.raises(TypeError, match="not scalar-like"):
+            Element.from_word(PauliWord((0, 1)), "x")
+
+    def test_an_operand_that_is_no_scalar_is_refused(self):
+        x, other = E(0, 1), object()
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        with pytest.raises(TypeError):
+            x / other
+        assert (x == other) is False and (other == x) is False
+
     def test_equality_with_scalars(self):
         assert Element.one(2) == 1
         assert Element.zero(2) == 0

@@ -211,6 +211,12 @@ class TestFallacyTrace:
         for name in ("fallacy: E12 = E21 (strict)", "fallacy: E12 = E21 (mod psi)"):
             assert checks[name].ok
 
+    def test_the_clash_is_a_battery_row_verified_in_the_full_report(self, singlet):
+        clash = fallacy_trace(singlet).clash_with
+        assert clash in [row.name for row in epr.CLAIMS["battery"]]
+        check = by_name(run_full_report().checks)[clash]
+        assert check.status == "verified" and check.ok
+
     def test_clash_points_at_the_verified_sector_identity(self, singlet):
         report = fallacy_trace(singlet)
         battery = by_name(verify_derived_identities(singlet))
@@ -334,6 +340,16 @@ class TestFullReport:
         assert all(checks[n].status == "refuted" and checks[n].oracle_ok for n in mod_psi)
         assert all(checks[n].status == "verified" and not checks[n].oracle_ok
                    for n in closure)
+
+    def test_an_unknown_check_kind_is_refused(self):
+        row = epr.CLAIMS["battery"][0]._replace(kind="weird")
+        with pytest.raises(ValueError, match="^unknown check kind 'weird'$"):
+            epr._strict(row)
+
+    def test_a_row_held_twice_is_refused(self, monkeypatch):
+        monkeypatch.setitem(epr.CLAIMS, "combined", epr.CLAIMS["combined"] * 2)
+        with pytest.raises(RuntimeError, match="^duplicate check names in report$"):
+            run_full_report()
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):

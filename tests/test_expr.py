@@ -1,5 +1,6 @@
 """The expression grammar: parsing, evaluation, printing round trip, errors."""
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,13 @@ from eprkit.exprparse import (
     to_element,
 )
 from eprkit.matrices import element_matrix, expr_matrix
-from eprkit.pauli import ArityMismatchError, PauliWord
+from eprkit.pauli import PREFIXES, SCALAR_ARITY, ArityMismatchError, PauliWord
+
+# Every word the grammar names, by pauli's prefix table: a prefix, then one
+# digit 0..3 per site it gives (E00..E33, then e0..e3).
+TABLE_NAMES = {prefix + "".join(map(str, letters)): PauliWord(letters)
+               for prefix, sites in PREFIXES.items()
+               for letters in itertools.product(range(4), repeat=sites)}
 
 ROUND_TRIP_CORPUS = [
     "E01*E02",
@@ -97,12 +104,25 @@ class TestParsing:
         assert tree == built and hash(tree) == hash(built)
         assert typed(tree) == typed(built)
 
-    @pytest.mark.parametrize("name", [*(f"E{a}{b}" for a in range(4) for b in range(4)),
-                                      *(f"e{k}" for k in range(4)), "psi"])
+    @pytest.mark.parametrize("name", [*TABLE_NAMES, "psi"])
     def test_every_grammar_name_parses_to_its_symbol(self, name):
         assert typed(parse_expr(name)) == typed(Sym(name))
         assert typed(parse_expr(f"-{name}*{name}")) == typed(
             BinOp("*", Neg(Sym(name)), Sym(name)))
+
+    @pytest.mark.parametrize("name, word", TABLE_NAMES.items())
+    def test_every_word_name_reads_back_as_its_word(self, name, word):
+        assert word.name == str(word) == name
+        assert to_element(parse_expr(word.name)) == Element.from_word(word)
+        # A literal beside the name is built at the word's arity.
+        assert to_element(parse_expr(f"2*{name}")) == Element.from_word(word, 2)
+
+    def test_the_name_table_has_twenty_words_and_a_scalar_arity(self):
+        assert len(TABLE_NAMES) == 20
+        assert SCALAR_ARITY in PREFIXES.values()
+        assert typed(parse_expr("1")) == typed(Lit(ONE, SCALAR_ARITY))
+        # The parser keeps a near miss's two errors for each prefix, and nothing more.
+        assert exprparse._NAME_ERRORS.keys() == PREFIXES.keys()
 
     def test_whitespace_insignificant(self):
         assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
@@ -191,6 +211,10 @@ class TestParseErrors:
         ("E01 + xe1", ExprSyntaxError, 6, "unknown symbol 'xe1'"),
         ("1 + E31*E44", RangeError, 8, "two-site digits must be 0..3, got 'E44'"),
         ("(E01 - e9)", RangeError, 7, "single-site digit must be 0..3, got 'e9'"),
+        # A '/' is part of a rational literal, so a digit run must follow it.
+        ("1/", ExprSyntaxError, 2, "expected a digit after '/'"),
+        ("1/E01", ExprSyntaxError, 2, "expected a digit after '/'"),
+        ("2/ ", ExprSyntaxError, 3, "expected a digit after '/'"),
     ])
     def test_near_misses_of_the_table_names(self, text, error, offset, message):
         with pytest.raises(ExprError) as info:
@@ -311,7 +335,7 @@ class TestEvaluation:
         assert list(leaf.terms.items()) == [(PauliWord((1, 2)), ONE)]
 
     def test_the_word_table_holds_one_element_per_symbol(self):
-        names = [f"E{a}{b}" for a in range(4) for b in range(4)] + [f"e{k}" for k in range(4)]
+        names = list(TABLE_NAMES)
         leaves = []
         for name in names:
             leaves.append(to_element(parse_expr(name)))

@@ -106,10 +106,19 @@ class TestPauliWord:
         assert sorted(words) == sorted(tuple(w) for w in words)
 
     def test_names(self):
-        assert PauliWord((0, 0)).name == "I"
-        assert PauliWord((0,)).name == "I"
+        assert PauliWord((0, 0)).name == "E00"
+        assert PauliWord((0,)).name == "e0"
         assert PauliWord((2,)).name == "e2"
         assert PauliWord((1, 3)).name == "E13"
+
+    def test_a_word_at_an_arity_without_a_prefix_has_no_name(self):
+        word = PauliWord((1, 2, 3))
+        assert word.arity not in pauli.PREFIXES.values()
+        with pytest.raises(ValueError, match="no word of 3 sites"):
+            word.name
+        with pytest.raises(ValueError, match="no word of 3 sites"):
+            str(word)
+        assert repr(word) == "PauliWord((1, 2, 3))"
 
     def test_identity_constructor(self):
         assert PauliWord.identity(2) == PauliWord((0, 0))
