@@ -1,4 +1,4 @@
-"""Recursive-descent parser for element expressions.
+r"""Recursive-descent parser for element expressions.
 
 Grammar (whitespace insignificant, products left-associative)::
 
@@ -12,6 +12,13 @@ Grammar (whitespace insignificant, products left-associative)::
               | 'psi' | 'I'
 
 '/' appears only inside rational literals; to divide by i, multiply by -i.
+
+The tokens are the strings of one ``findall`` of the pattern
+``[-+*/()]|[0-9]+|[^\W_]+|\S``: an operator, a run of ASCII digits, a run of
+letters and digits, or any other character that is not whitespace.  A token
+that starts with neither a letter nor a grammar character is an unexpected
+character.  Tokens carry no offset: an error's offset is found by scanning
+the text again, and only when the error is raised.
 
 The parser decides an expression's arity from the names in it: ``psi`` is
 two-site, a word name has the sites its prefix gives, and any other text
@@ -33,6 +40,7 @@ hand-built tree outside the grammar evaluates on neither route.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 from typing import Callable, NamedTuple, TypeVar, Union
 
@@ -99,35 +107,40 @@ Expr = Union[Lit, Sym, Neg, BinOp]
 T = TypeVar("T")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        if "0" <= ch <= "9":  # not str.isdigit, which also accepts '²' and '٣'
-            start = pos
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            tokens.append(("num", text[start:pos], start))
-            continue
-        if ch.isalpha():
-            start = pos
-            pos += 1
-            while pos < n and (text[pos].isalnum()):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+# One token per match: an operator, a run of ASCII digits, a run of letters
+# and digits (str.isalnum, which is what [^\W_] matches), or any other
+# character that is not whitespace (str.isspace, which is what \s matches).
+_TOKEN = re.compile(r"[-+*/()]|[0-9]+|[^\W_]+|\S")
+# The characters a token may start with, besides a letter (str.isalpha).
+_STARTS = frozenset("+-*/()0123456789")
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then ``""`` as the end of input.
+
+    A token's kind is its first character.  Only a name starts with a letter,
+    and a token that starts with anything else outside :data:`_STARTS` is an
+    unexpected character; each distinct first character is checked once.
+    """
+    tokens = _TOKEN.findall(text)
+    bad = {c for c in {tok[0] for tok in tokens} - _STARTS if not c.isalpha()}
+    if bad:
+        index = next(k for k, tok in enumerate(tokens) if tok[0] in bad)
+        raise ExprSyntaxError(f"unexpected character {tokens[index][0]!r}",
+                              _offset(text, index))
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, index: int) -> int:
+    """The character offset of token ``index`` of ``text``; past the last token, ``len(text)``.
+
+    Tokens carry no offset: an error re-scans the text to find it.
+    """
+    for k, match in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return match.start()
+    return len(text)
 
 
 # Per prefix of the name table: a malformed name's error, a digit's range error.
@@ -140,6 +153,10 @@ _LETTERS = {PauliWord(letters).name: letters
             for sites in PREFIXES.values() for letters in product(range(4), repeat=sites)}
 # The symbol table: one shared node per fixed name of the grammar.
 _SYMBOLS = {name: Sym(name) for name in (*_LETTERS, "psi")}
+# Per arity, the node of every name a factor can be: the symbols, and i and I
+# as literals at that arity.  Nodes are immutable, so sharing them is safe.
+_FACTORS = {arity: {**_SYMBOLS, "i": Lit(IM, arity), "I": Lit(ONE, arity)}
+            for arity in {*PREFIXES.values(), SCALAR_ARITY}}
 # Each word's element, keyed by its letters: every occurrence of a symbol
 # shares it, and elements are immutable, so sharing is safe.
 _WORDS = {letters: Element.from_word(PauliWord(letters)) for letters in _LETTERS.values()}
@@ -149,6 +166,7 @@ _WORDS = {letters: Element.from_word(PauliWord(letters)) for letters in _LETTERS
 # NamedTuple, without the Python-level __new__ that only forwards to it.
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         # In a text that parses, a prefix's letter or "psi" occurs only inside
@@ -158,99 +176,109 @@ class _Parser:
             arities.add(2)  # psi is a two-site element
         self.mixed = len(arities) > 1
         self.arity = arities.pop() if len(arities) == 1 else SCALAR_ARITY
+        self.factors = _FACTORS[self.arity]
 
-    def expect_op(self, op: str) -> None:
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}",
-                                  offset)
+    def error(self, message: str, index: int) -> ExprSyntaxError:
+        return ExprSyntaxError(message, _offset(self.text, index))
+
+    def expect(self, token: str) -> None:
+        found = self.tokens[self.pos]
+        if found != token:
+            raise self.error(f"expected {token!r}, found {found or 'end of input'!r}", self.pos)
         self.pos += 1
 
     def expr(self) -> Expr:
         node = self.term()
         tokens = self.tokens
         while True:
-            kind, text, _ = tokens[self.pos]
-            if kind == "op" and text in "+-":
+            op = tokens[self.pos]
+            if op == "+" or op == "-":
                 self.pos += 1
-                node = tuple.__new__(BinOp, (text, node, self.term()))
+                node = tuple.__new__(BinOp, (op, node, self.term()))
             else:
                 return node
 
     def term(self) -> Expr:
-        node = self.factor()
-        tokens = self.tokens
-        while True:
-            kind, text, _ = tokens[self.pos]
-            if kind == "op" and text == "*":
-                self.pos += 1
-                node = tuple.__new__(BinOp, ("*", node, self.factor()))
+        # A name's node comes straight from the factor table; only the other
+        # factors take a factor() call.
+        tokens, factors = self.tokens, self.factors
+        node = factors.get(tokens[self.pos])
+        if node is None:
+            node = self.factor()
+        else:
+            self.pos += 1
+        while tokens[self.pos] == "*":
+            self.pos += 1
+            right = factors.get(tokens[self.pos])
+            if right is None:
+                right = self.factor()
             else:
-                return node
+                self.pos += 1
+            node = tuple.__new__(BinOp, ("*", node, right))
+        return node
 
     def factor(self) -> Expr:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "name":
+        pos = self.pos
+        token = self.tokens[pos]
+        node = self.factors.get(token)
+        if node is not None:
             self.pos += 1
-            node = _SYMBOLS.get(text)
-            return self.symbol(text, offset) if node is None else node
-        if kind == "op" and text == "-":
+            return node
+        if token == "-":
             self.pos += 1
             return tuple.__new__(Neg, (self.factor(),))
-        if kind == "op" and text == "(":
+        if token == "(":
             self.pos += 1
             node = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return node
-        if kind == "num":
+        if token.isdigit():  # the tokenizer lets no other digit start a token
             self.pos += 1
-            value = _integer(text, offset)
+            value = self.integer(pos)
             denominator = 1
-            nk, nt, _ = self.tokens[self.pos]
-            if nk == "op" and nt == "/":
-                self.pos += 1
-                dk, dt, doff = self.tokens[self.pos]
-                if dk != "num":
-                    raise ExprSyntaxError("expected a digit after '/'", doff)
-                self.pos += 1
-                denominator = _integer(dt, doff)
+            if self.tokens[pos + 1] == "/":
+                if not self.tokens[pos + 2].isdigit():
+                    raise self.error("expected a digit after '/'", pos + 2)
+                self.pos += 2
+                denominator = self.integer(pos + 2)
                 if denominator == 0:
-                    raise ExprSyntaxError("zero denominator", doff)
+                    raise self.error("zero denominator", pos + 2)
             return Lit(_scalar(denominator, value, 0), self.arity)
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
+        if token[:1].isalpha():
+            raise self.name_error(pos)
+        raise self.error(f"unexpected {token or 'end of input'!r}", pos)
 
-    def symbol(self, text: str, offset: int) -> Lit:
-        """``i`` or ``I``; any other name here is not in :data:`_SYMBOLS`.
+    def integer(self, pos: int) -> int:
+        """The value of the digit run at ``pos``; int() refuses runs past the interpreter's limit."""
+        digits = self.tokens[pos]
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"numeric literal of {len(digits)} digits is too long",
+                             pos) from None
 
-        So it is an error: malformed, or well formed with a digit outside 0..3.
+    def name_error(self, pos: int) -> ExprError:
+        """The error of a name at ``pos`` that the factor table does not hold.
+
+        It is malformed, or well formed with a digit outside 0..3.
         """
-        if text in ("i", "I"):
-            return Lit(IM if text == "i" else ONE, self.arity)
+        text, offset = self.tokens[pos], _offset(self.text, pos)
         if text[0] not in _NAME_ERRORS:
-            raise ExprSyntaxError(f"unknown symbol {text!r}", offset)
+            return ExprSyntaxError(f"unknown symbol {text!r}", offset)
         malformed, out_of_range = _NAME_ERRORS[text[0]]
         digits = text[1:]
         if len(digits) != PREFIXES[text[0]] or not all("0" <= c <= "9" for c in digits):
-            raise ExprSyntaxError(f"{malformed}, got {text!r}", offset)
-        raise RangeError(f"{out_of_range}, got {text!r}", offset)
-
-
-def _integer(digits: str, offset: int) -> int:
-    """The value of a digit run; int() refuses runs past the interpreter's limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ExprSyntaxError(f"numeric literal of {len(digits)} digits is too long",
-                              offset) from None
+            return ExprSyntaxError(f"{malformed}, got {text!r}", offset)
+        return RangeError(f"{out_of_range}, got {text!r}", offset)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse ``text`` into a tree, or raise an :class:`ExprError` subclass."""
     parser = _Parser(text)
     node = parser.expr()
-    kind, tok, offset = parser.tokens[parser.pos]
-    if kind != "end":
-        raise ExprSyntaxError(f"trailing input {tok!r}", offset)
+    token = parser.tokens[parser.pos]
+    if token:
+        raise parser.error(f"trailing input {token!r}", parser.pos)
     if parser.mixed:
         raise ArityConflictError("single-site and two-site symbols mixed in one expression")
     return node

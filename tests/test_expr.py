@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eprkit import exprparse
 from eprkit.element import E, Element, IM, ONE, Scalar, e
@@ -128,6 +129,44 @@ class TestParsing:
         assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
 
 
+def reference_tokens(text):
+    """The character-loop tokenizer that the one-pattern scan replaced.
+
+    It returns (token, offset) pairs ending in ``("", len(text))``, or raises
+    the same error as the parser for an unexpected character.
+    """
+    tokens = []
+    pos, n = 0, len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        start = pos
+        pos += 1
+        if "0" <= ch <= "9":  # not str.isdigit, which also accepts '\u00b2' and '\u0663'
+            while pos < n and "0" <= text[pos] <= "9":
+                pos += 1
+        elif ch.isalpha():
+            while pos < n and text[pos].isalnum():
+                pos += 1
+        elif ch not in "+-*/()":
+            raise ExprSyntaxError(f"unexpected character {ch!r}", start)
+        tokens.append((text[start:pos], start))
+    tokens.append(("", n))
+    return tokens
+
+
+# The grammar's characters, and characters on the edges of str.isspace,
+# str.isalpha and str.isalnum: digits that are not ASCII, numerals that are
+# letters to isalnum only, a titlecase letter, '_', and spaces past ASCII's.
+TOKEN_ALPHABET = st.sampled_from([
+    *"+-*/() 0123456789Eepsi I\t",
+    "\u00b2", "\u0663", "\u00bd", "\u216b", "\u01c5", "\u00e9", "_", "#",
+    "\U0001d7d8", "\u3000", "\x1c", "\x85",
+])
+
+
 class TestParseErrors:
     def test_out_of_range_two_site_digits(self):
         with pytest.raises(RangeError):
@@ -188,6 +227,22 @@ class TestParseErrors:
             parse_expr(text)
         assert info.value.offset == offset
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(TOKEN_ALPHABET, max_size=24))
+    @example("E\u216b*\u01c5e1 \x85(2/3)")
+    @example("e\u0301")  # a combining mark is no letter: it starts no name
+    def test_tokens_and_offsets_match_the_character_loop(self, text):
+        try:
+            expected = reference_tokens(text)
+        except ExprSyntaxError as error:
+            with pytest.raises(ExprSyntaxError) as info:
+                exprparse._tokenize(text)
+            assert (str(info.value), info.value.offset) == (str(error), error.offset)
+            return
+        assert exprparse._tokenize(text) == [token for token, _ in expected]
+        assert [exprparse._offset(text, k) for k in range(len(expected))] == \
+            [offset for _, offset in expected]
+
     # A name the symbol table does not hold is still judged by the grammar:
     # the same class, message and offset as before the table existed.
     @pytest.mark.parametrize("text, error, offset, message", [
@@ -215,6 +270,17 @@ class TestParseErrors:
         ("1/", ExprSyntaxError, 2, "expected a digit after '/'"),
         ("1/E01", ExprSyntaxError, 2, "expected a digit after '/'"),
         ("2/ ", ExprSyntaxError, 3, "expected a digit after '/'"),
+        ("E01/2", ExprSyntaxError, 3, "trailing input '/'"),
+        ("1/0", ExprSyntaxError, 2, "zero denominator"),
+        pytest.param("1" + "0" * 5000, ExprSyntaxError, 0,
+                     "numeric literal of 5001 digits is too long", id="5001-digit literal"),
+        # Past the last token, the offset is the length of the text.
+        ("(E01", ExprSyntaxError, 4, "expected ')', found 'end of input'"),
+        ("", ExprSyntaxError, 0, "unexpected 'end of input'"),
+        ("   ", ExprSyntaxError, 3, "unexpected 'end of input'"),
+        ("E01 E02", ExprSyntaxError, 4, "trailing input 'E02'"),
+        ("E01*)", ExprSyntaxError, 4, "unexpected ')'"),
+        ("(E01))", ExprSyntaxError, 5, "trailing input ')'"),
     ])
     def test_near_misses_of_the_table_names(self, text, error, offset, message):
         with pytest.raises(ExprError) as info:

@@ -128,7 +128,7 @@ def test_the_arity_scan_matches_the_names_the_text_parses_to(text):
         tree = parser.expr()
     except ExprError:
         return  # the arity of a text that does not parse is never read
-    if parser.tokens[parser.pos][0] != "end":
+    if parser.tokens[parser.pos] != "":  # "" is the end of input
         return
     arities = {1 if n.name[0] == "e" else 2 for n in nodes(tree) if type(n) is Sym}
     assert parser.mixed == (len(arities) > 1)
