@@ -297,6 +297,11 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
     ``word`` receives the same tuple for each name and may cache on it.  A
     name or an operator the grammar does not have raises
     :class:`ExprSyntaxError`: only a hand-built tree holds one.
+
+    The walk leaves no reference cycle behind.  The nested ``ev`` recurses
+    through the closure cell that holds it, a function <-> cell cycle that
+    would keep ``ev``, the callbacks and ``psi`` alive until the cyclic
+    collector ran; the walk empties that cell when it returns or raises.
     """
     def ev(n: Expr) -> T:
         kind = type(n)  # exact node types only: a plain tuple is no node
@@ -325,7 +330,10 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
             return -ev(n.arg)
         raise TypeError(f"not an expression node: {n!r}")
 
-    return ev(node)
+    try:
+        return ev(node)
+    finally:
+        del ev  # break the function <-> cell cycle, so reference counting frees the walk
 
 
 def to_element(node: Expr, psi: Element | None = None) -> Element:

@@ -12,7 +12,9 @@ independent by construction: the only eprkit module imported here is
 caller.  Entries are exact Gaussian rationals, so two matrices agree
 exactly when they are equal.  A matrix keeps one invariant, that it stores
 no zero entry; its denominator is never reduced, so equality compares
-values across denominators.
+values across denominators.  The product stores an entry's first term as it
+is, since a product of two nonzero Gaussian integers is nonzero, and sums,
+dropping a zero, only when a later term meets a stored entry.
 """
 
 from __future__ import annotations
@@ -146,15 +148,22 @@ class Matrix:
         rows = []
         for row in self._rows:
             acc: Row = {}
-            pop = acc.pop
+            get = acc.get
             for k, (ar, ai) in row.items():
                 for c, (br, bi) in right[k].items():
-                    re, im = pop(c, (0, 0))
-                    re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
-                    if re or im:  # a cancelled entry goes; a later term may bring it back
+                    old = get(c)
+                    if old is None:  # nonzero times nonzero: a new entry is stored as it is
+                        acc[c] = (ar * br - ai * bi, ar * bi + ai * br)
+                        continue
+                    re, im = old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br
+                    if re or im:
                         acc[c] = (re, im)
+                    else:  # a cancelled entry goes; a later term stores it anew
+                        del acc[c]
             rows.append(acc)
-        return Matrix._new(self._dim, self._den * other._den, rows)
+        m = object.__new__(Matrix)  # as _new builds it, without the classmethod call
+        m._dim, m._den, m._rows = self._dim, self._den * other._den, tuple(rows)
+        return m
 
     def times_i(self, k: int) -> "Matrix":
         """``i**k`` times this matrix: a swap of the parts, a negation, or both."""

@@ -1,5 +1,6 @@
 """The identity suite: constraints, search, fallacy, resolution, report."""
 
+import gc
 import itertools
 import json
 from pathlib import Path
@@ -425,6 +426,25 @@ def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):
         left, right = epr._strict(row)
         assert (approx_equal(matrices.expr_matrix(left), matrices.expr_matrix(right))
                 == (row.expected == "verified")), row.name
+
+
+def test_the_hot_paths_leave_no_cyclic_garbage():
+    # Reference counting alone frees what a report and a tree walk make:
+    # with the collector off, a full collection afterwards finds nothing.
+    text = "(1/2 - 3*i)*E01*E02 + -(E33 - E12)*E21"
+    table = all_assignments()[5]
+    run_full_report().to_json()  # warm: the claim trees and per-process tables are built
+    gc.collect()
+    gc.disable()
+    try:
+        for work in (lambda: run_full_report().to_json(),
+                     lambda: exprparse.to_element(parse_expr(text)),
+                     lambda: matrices.expr_matrix(parse_expr(text)),
+                     lambda: constraint_flags(table)):
+            work()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_numeric_psi_route_matches_symbolic_psi(singlet):

@@ -289,8 +289,10 @@ class TestParseErrors:
         assert info.value.offset == offset
         assert str(info.value) == f"{message} (offset {offset})"
 
-    @pytest.mark.parametrize("text, offset", [("1" + "0" * 5000, 0),
-                                              ("1/" + "3" * 5000, 2)])
+    @pytest.mark.parametrize("text, offset", [
+        pytest.param("1" + "0" * 5000, 0, id="numerator-5001-digits"),
+        pytest.param("1/" + "3" * 5000, 2, id="denominator-5000-digits"),
+    ])
     def test_literal_past_the_integer_string_limit(self, text, offset):
         # int() refuses digit strings longer than 4300 digits by default.
         with pytest.raises(ExprSyntaxError) as info:

@@ -166,6 +166,19 @@ def entries(m):
     return [m.entry(r, c) for r in range(m.dim) for c in range(m.dim)]
 
 
+def product_entries(a, b):
+    """The entries of ``a * b`` by the textbook sum over ``entries``, the reference for ``*``."""
+    n, x, y = a.dim, entries(a), entries(b)
+    out = []
+    for r, c in itertools.product(range(n), repeat=2):
+        re = im = Fraction(0)
+        for k in range(n):
+            (ar, ai), (br, bi) = x[r * n + k], y[k * n + c]
+            re, im = re + ar * br - ai * bi, im + ar * bi + ai * br
+        out.append((re, im))
+    return out
+
+
 # Four-dimensional matrices of three kinds: a word matrix times a unit (whose
 # products sum no entry), small Gaussian-integer matrices (whose products sum
 # entries and can cancel them), and either kind scaled by a rational
@@ -195,12 +208,20 @@ TWO_E02 = Matrix.scalar(4, 2) * E02_MATRIX
 # no entry summed, over 3*4 with a common factor 6 left in
 @example(Matrix.scalar(4, Fraction(2, 3)) * E01_MATRIX,
          Matrix.scalar(4, Fraction(3, 4), Fraction(3, 4)) * E02_MATRIX, 0, Fraction(0), Fraction(1))
+# row 0 of a * b: the (0, 0) entry cancels after two terms and the third stores it again
+@example(Matrix([[1, 1, 1, 0], [0, 1j, 0, 0], [2, 0, -1, 0], [0, 0, 0, 1]]),
+         Matrix([[1, 0, 0, 0], [-1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]), 0, Fraction(1), Fraction(0))
+# a diagonal matrix and a word matrix: each row of either product only ever stores new entries
+@example(Matrix([[2, 0, 0, 0], [0, -1j, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1 + 1j]]),
+         word_matrix((1, 2)), 1, Fraction(1, 2), Fraction(-1, 3))
 def test_no_result_stores_a_zero_entry(a, b, k, re, im):
     # (a - b) + b and a rescaled there and back hold a's values over other denominators.
     results = [a, a * b, b * a, a + b, a - b, -a, a.times_i(k), a.kron(b), b.kron(a),
                Matrix.scalar(4, re, im), Matrix.scalar(2, re), (a - b) + b,
                a * Matrix.scalar(4, Fraction(1, 6)) * Matrix.scalar(4, 6)]
     assert all(map(stores_no_zero, results))
+    assert entries(results[1]) == product_entries(a, b)
+    assert entries(results[2]) == product_entries(b, a)
     assert results[-2] == a == results[-1]
     # Equality is agreement at every entry, whatever the two denominators.
     values = [entries(m) for m in results]
