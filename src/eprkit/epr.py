@@ -7,18 +7,20 @@ Each check carries an explicit kind, ``strict`` for equalities of elements
 and ``mod-psi`` for equalities that hold only after right-multiplication by
 psi; the fallacy trace exists precisely because conflating the two kinds
 silently turns a true singlet-sector statement into a false strict one.
-:func:`_strict` alone turns a mod-psi claim into the strict claim
-``(lhs)*psi = (rhs)*psi`` on the parsed trees, which two interpreters
-evaluate: the exact symbolic layer (:func:`~eprkit.exprparse.to_element`)
-and the exact matrix oracle (:func:`~eprkit.matrices.expr_matrix`, with its
-own psi), which shares the tree walk with the first but none of its
-arithmetic.  Both decide by literal equality.  The constraint rows get a
-third, realist reading (:func:`constraint_flags`): each word a definite
-+1/-1 value, the assumption the paper disputes.  Only
-``trace_normalized(-psi) = 1/4`` is outside the grammar and checked by hand.
-The rows are constant, so each side is parsed once per process
-(:func:`_sides`); each report evaluates the trees again, on both routes and
-against its own psi, so only syntax is reused.
+Two interpreters decide each row, each reading a mod-psi claim as the
+strict claim ``(lhs)*psi = (rhs)*psi`` for itself: the exact symbolic layer
+(:func:`~eprkit.exprparse.to_element`), on the parsed trees that
+:func:`_strict` alone rewrites, and the exact matrix oracle
+(:func:`~eprkit.matrices.expr_program`, with its own psi), which reads the
+text of that claim with its own reader and shares neither the parser, the
+tree walk nor the arithmetic of the first.  Both decide by literal
+equality.  The constraint rows get a third, realist reading
+(:func:`constraint_flags`): each word a definite +1/-1 value, the
+assumption the paper disputes.  Only ``trace_normalized(-psi) = 1/4`` is
+outside the grammar and checked by hand.  The rows are constant, so each
+side is parsed once per process (:func:`_sides`) and each text read once by
+the oracle (:data:`_program`); each report evaluates the trees and the
+programs again, the trees against its own psi, so only syntax is reused.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
 difference with the singlet constraints at the right end of its words
@@ -35,11 +37,11 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .element import E, Element, Scalar
 from .exprparse import BinOp, Expr, Sym, evaluate, parse_expr, to_element
-from .matrices import approx_equal, expr_matrix, word_matrix
+from .matrices import Matrix, _symbol_matrix, approx_equal, expr_program
 from .pauli import PauliWord, mul_words
 from .singlet import PSI_TEXT, SingletState, build_singlet
 from .triples import (build_incidence, diff_with_paper_list, enumerate_basic_triples,
@@ -239,11 +241,27 @@ def _strict(row: Claim) -> tuple[Expr, Expr]:
     return lhs, rhs
 
 
+# The oracle's program of each claim text, read once per process; only the
+# claim table's texts come here, so the table bounds the cache.
+_program = cache(expr_program)
+
+
+def _programs(row: Claim) -> tuple[Callable[[], Matrix], Callable[[], Matrix]]:
+    """The oracle's programs for the two sides of ``row``.
+
+    The oracle writes its own mod-psi text: ``lhs = rhs`` becomes
+    ``(lhs)*psi = (rhs)*psi``.
+    """
+    if row.kind == "mod-psi":
+        return _program(f"({row.lhs})*psi"), _program(f"({row.rhs})*psi")
+    return _program(row.lhs), _program(row.rhs)
+
+
 def _decide(row: Claim, psi: Element | None) -> tuple[Element, bool]:
     """The exact residual of ``row`` and whether the oracle finds it equal."""
     lhs, rhs = _strict(row)
-    return (to_element(lhs, psi) - to_element(rhs, psi),
-            approx_equal(expr_matrix(lhs), expr_matrix(rhs)))
+    left, right = _programs(row)
+    return to_element(lhs, psi) - to_element(rhs, psi), approx_equal(left(), right())
 
 
 def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
@@ -252,13 +270,12 @@ def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
 
 _TRACE_ROW = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
                    "verified", "trace_normalized(-psi)", "1/4")
-_NEG_PSI_TREE = parse_expr("-psi")
 
 
 def _trace_check(psi: Element) -> IdentityCheck:
     """trace_normalized(-psi) = 1/4, the claim the grammar cannot state."""
     residual = Element.scalar((-psi).trace_normalized() - Fraction(1, 4), 2)
-    re, im = expr_matrix(_NEG_PSI_TREE).trace()
+    re, im = _program("-psi")().trace()
     return _outcome(_TRACE_ROW, residual, (re / 4, im) == (Fraction(1, 4), 0))
 
 
@@ -561,13 +578,14 @@ def _word_product_cross_check() -> dict:
     """Every two-site word product against the matrix route."""
     words = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
     agree = 0
-    mats = {w: word_matrix(w) for w in words}
+    mats = {w: _symbol_matrix(w) for w in words}
     # Each word matrix times each unit i**k, built once per report.
     phased = {w: [m.times_i(k) for k in range(4)] for w, m in mats.items()}
     for a in words:
+        ma = mats[a]
         for b in words:
             k, w = mul_words(a, b)
-            if approx_equal(mats[a] * mats[b], phased[w][k]):
+            if ma * mats[b] == phased[w][k]:
                 agree += 1
     return {"pairs": len(words) ** 2, "oracle_agree": agree}
 

@@ -35,7 +35,9 @@ The word names are the :attr:`PauliWord.name` s of the prefix table
 :class:`Sym` nodes, each word's element and the arity scan are read from it;
 this module adds only a near miss's two errors per prefix (``E0``, ``E04``).
 The tree walk refuses any name or operator the parser cannot read, so a
-hand-built tree outside the grammar evaluates on neither route.
+hand-built tree outside the grammar never evaluates.  The matrix oracle
+reads claim text with a reader of its own (:mod:`eprkit.matrices`), so
+nothing here is shared with it.
 """
 
 from __future__ import annotations

@@ -2,43 +2,51 @@
 
 The matrix cross-check for the exact layer: letters map to the standard 2x2
 spin matrices, words to Kronecker products (first site leftmost), elements
-to coefficient-weighted sums, and expression trees to matrix products.
+to coefficient-weighted sums, and expression text to matrix products.
 Everything here is built from the four explicit letter matrices and this
 module's own :class:`Matrix` arithmetic, never from the symbolic
 composition rules or the element layer's arithmetic, so the two routes stay
-independent by construction: the only eprkit module imported here is
-:mod:`~eprkit.exprparse`, the tree walk both routes share on purpose.  Even
-``psi`` is this module's own product of letter matrices, taken from no
-caller.  Entries are exact Gaussian rationals, so two matrices agree
-exactly when they are equal.  A matrix keeps one invariant, that it stores
-no zero entry; its denominator is never reduced, so equality compares
-values across denominators.  The product stores an entry's first term as it
-is, since a product of two nonzero Gaussian integers is nonzero, and sums,
-dropping a zero, only when a later term meets a stored entry.
+independent by construction: this module imports no eprkit module.  It
+reads a claim's text itself, with its own token check and name table
+(:func:`expr_program`), so a fault in the exact route's parser or tree walk
+moves that route alone.  Even ``psi`` is this module's own product of
+letter matrices, taken from no caller.  Entries are exact Gaussian
+rationals, so two matrices agree exactly when they are equal.  A matrix
+keeps one invariant, that it stores no zero entry; its denominator is never
+reduced, so equality compares values across denominators.  The product
+stores an entry's first term as it is, since a product of two nonzero
+Gaussian integers is nonzero, and sums, dropping a zero, only when a later
+term meets a stored entry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import product
 from math import gcd, lcm, prod
-
-from .exprparse import Expr, evaluate
 
 __all__ = [
     "DimensionMismatchError",
     "LETTER_MATRICES",
     "Matrix",
+    "ReadError",
     "approx_equal",
     "element_matrix",
     "expr_matrix",
+    "expr_program",
     "word_matrix",
 ]
 
 
 class DimensionMismatchError(ValueError):
     """Two matrices of different shape were combined or compared."""
+
+
+class ReadError(ValueError):
+    """A text that the oracle's reader refuses: it is not in the expression grammar."""
 
 
 Row = dict[int, tuple[int, int]]
@@ -247,24 +255,112 @@ def element_matrix(elem) -> Matrix:
     return out
 
 
-def expr_matrix(node: Expr) -> Matrix:
-    """Evaluate a parsed expression with matrices alone.
+def expr_matrix(text: str) -> Matrix:
+    """The matrix of ``text``: :func:`expr_program` read afresh and run once.
 
-    A literal is that multiple of the identity matrix at the literal's
-    arity, built from the scalar's integer parts, a symbol the Kronecker
-    product of its letters' matrices (``psi`` this module's own product of
-    them, :data:`_PSI`), and ``*`` the matrix product.  No element or scalar
-    arithmetic is involved, so the result is an independent check on
-    ``to_element``.
+    No element or scalar arithmetic and no tree of the exact route's parser
+    is involved, so the result is an independent check on ``to_element``.
     """
-    return evaluate(node, lambda value, arity: Matrix._scalar(2 ** arity, *value.parts),
-                    _symbol_matrix, _PSI)
+    return expr_program(text)()
 
 
 @cache
 def _symbol_matrix(letters: tuple[int, ...]) -> Matrix:
     """word_matrix of a symbol's letters, built once per process."""
     return word_matrix(letters)
+
+
+# --- the oracle's own reader of the expression grammar --------------------------
+
+# Each word name of the grammar and its letters: E with two site digits, e with
+# one.  The exact route reads the same names from its own table in eprkit.pauli.
+_WORD_LETTERS = {prefix + "".join(map(str, letters)): letters
+                 for prefix, sites in (("E", 2), ("e", 1))
+                 for letters in product(range(4), repeat=sites)}
+# i and I at each dimension a text can have, built once.
+_UNITS = {dim: {"i": Matrix._scalar(dim, 1, 0, 1), "I": Matrix._scalar(dim, 1, 1, 0)}
+          for dim in (2, 4)}
+# One token per match, in ASCII text: an int or int/int literal (groups 1 and 2),
+# a name (3), an operator or a parenthesis (4), or any other character that is
+# not whitespace (5).
+_TOKEN = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?|([A-Za-z0-9]+)|([-+*()])|(\S)")
+# The grammar's token sequences, one character per token and "a" for an
+# operand: operands and binary operators alternate, a '(' or a unary '-' may
+# come before an operand and a ')' after one.  The compiler pairs the
+# parentheses.
+_SHAPE = re.compile(r"[(-]*a\)*(?:[-+*][(-]*a\)*)*")
+
+
+def expr_program(text: str) -> Callable[[], Matrix]:
+    """``text`` read and compiled once: each call evaluates it to its matrix.
+
+    The oracle's own reader of the grammar of :mod:`eprkit.exprparse`,
+    sharing no code or table with that parser.  A word name is the
+    Kronecker product of its letters' matrices, ``psi`` this module's own
+    product of them, :data:`_PSI`, and ``i``, ``I`` and each ``n`` or
+    ``n/d`` literal that multiple of the identity at the text's arity: one
+    site if it names an ``e`` word, else two.
+    Each name and literal is bound to its matrix when the text is read, and
+    the text is compiled to bytecode in which every ``+``, ``-`` and ``*``
+    is a :class:`Matrix` operator; Python gives them the grammar's
+    precedence and associativity, unary minus included.
+
+    Anything outside the grammar raises :class:`ReadError`: a name outside
+    the table, ``/`` outside an int/int literal, a zero denominator, any
+    other character, operands and operators out of turn (which Python would
+    read as a call, a tuple or a unary ``+``), unpaired parentheses,
+    single-site and two-site names in one text, and non-ASCII text (Python
+    would normalize ``Ｅ０１`` to ``E01``).  A chain too long for the compiler
+    raises its ``RecursionError``.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"the oracle reads text, got {type(text).__name__}")
+    if not text.isascii():
+        raise ReadError(f"non-ASCII character {next(c for c in text if not c.isascii())!r}")
+    names: dict = {"__builtins__": {}}
+    literals: dict[tuple[int, int], str] = {}
+    source, shape, arities = [], [], set()
+    for num, den, name, op, other in _TOKEN.findall(text):
+        if op:
+            source.append(op)
+            shape.append(op)
+            continue
+        if other:
+            raise ReadError("'/' outside an int/int literal" if other == "/"
+                            else f"unexpected character {other!r}")
+        shape.append("a")
+        if name:
+            letters = _WORD_LETTERS.get(name)
+            if letters is not None:
+                arities.add(len(letters))
+                names[name] = _symbol_matrix(letters)
+            elif name == "psi":
+                arities.add(2)
+                names[name] = _PSI
+            elif name != "i" and name != "I":
+                raise ReadError(f"unknown name {name!r}")
+            source.append(name)
+            continue
+        try:
+            value = int(num), int(den or 1)
+        except ValueError:  # more digits than the interpreter converts
+            raise ReadError("numeric literal too long") from None
+        if not value[1]:
+            raise ReadError("zero denominator")
+        source.append(literals.setdefault(value, f"_{len(literals)}"))
+    if not _SHAPE.fullmatch("".join(shape)):
+        raise ReadError("operands and operators out of turn")
+    if len(arities) > 1:
+        raise ReadError("single-site and two-site names mixed in one expression")
+    dim = 2 ** arities.pop() if arities else 4
+    names.update(_UNITS[dim])
+    for (n, d), key in literals.items():
+        names[key] = Matrix._scalar(dim, d, n, 0)
+    try:
+        code = compile(" ".join(source), "<expr>", "eval")
+    except SyntaxError as exc:  # unpaired, or nested deeper than the compiler reads
+        raise ReadError(f"parentheses: {exc.msg}") from None
+    return partial(eval, code, names)
 
 
 def approx_equal(a: Matrix, b: Matrix) -> bool:

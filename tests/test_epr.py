@@ -323,9 +323,10 @@ class TestFullReport:
         assert all(checks[name].oracle_ok is False for name in failing)
 
     def test_mod_psi_read_as_strict_fails_every_verified_sector_claim(self, monkeypatch):
-        # Drop the right factor psi from the one rewrite: every verified mod-psi
-        # claim is then refuted by both routes, and every verified closure twin,
-        # whose oracle is that rewritten comparison, loses its oracle.
+        # Drop the right factor psi from the exact route's rewrite: every
+        # verified mod-psi claim is then refuted there, and the oracle, which
+        # writes its own mod-psi text, disagrees with each.  The closure twins
+        # pass: their borrowed oracle is right.
         monkeypatch.setattr(epr, "_strict",
                             lambda row: (parse_expr(row.lhs), parse_expr(row.rhs)))
         report = run_full_report()
@@ -334,13 +335,28 @@ class TestFullReport:
         mod_psi |= {f"(E0{k}+E{k}0)*psi = 0" for k in (1, 2, 3)}
         mod_psi |= {"E01*E20 = -E10*E02 (mod psi)", "E12 = i*E03 (mod psi)",
                     "E21 = -i*E03 (mod psi)", "E12 = -E21 (mod psi, resolved)"}
-        closure = {f"closure: {label}" for label in VERIFIED_BATTERY}
         failing = report.failing_names()
-        assert len(failing) == 25 and set(failing) == mod_psi | closure
+        assert len(failing) == 16 and set(failing) == mod_psi
         checks = by_name(report.checks)
-        assert all(checks[n].status == "refuted" and checks[n].oracle_ok for n in mod_psi)
-        assert all(checks[n].status == "verified" and not checks[n].oracle_ok
-                   for n in closure)
+        assert all(checks[n].status == "refuted" and not checks[n].oracle_ok for n in mod_psi)
+
+    def test_i_read_as_minus_i_moves_the_exact_route_alone(self, monkeypatch):
+        # A fault in the parser's reading of a claim: the oracle reads the text
+        # itself, so it disagrees with every check whose verdict the fault moves.
+        for arity, factors in exprparse._FACTORS.items():
+            monkeypatch.setitem(factors, "i", exprparse.Lit(-element.IM, arity))
+        epr._sides.cache_clear()
+        epr._program.cache_clear()
+        try:
+            report = run_full_report()
+        finally:
+            epr._sides.cache_clear()
+            epr._program.cache_clear()
+        golden = {c["name"]: c["status"] for c in json.loads(GOLDEN_JSON)["checks"]}
+        moved = {c.name for c in report.checks if c.status != golden[c.name]}
+        assert len(moved) == 14
+        assert set(report.failing_names()) == moved
+        assert not any(by_name(report.checks)[n].oracle_ok for n in moved)
 
     def test_an_unknown_check_kind_is_refused(self):
         row = epr.CLAIMS["battery"][0]._replace(kind="weird")
@@ -390,10 +406,12 @@ class TestFullReport:
         monkeypatch.setattr(matrices, "LETTER_MATRICES",
                             (letters[0], letters[1], -letters[2], letters[3]))
         matrices._symbol_matrix.cache_clear()
+        epr._program.cache_clear()
         try:
             report = run_full_report()
         finally:
             matrices._symbol_matrix.cache_clear()
+            epr._program.cache_clear()
         assert report.overall == "fail"
         assert report.homomorphism == {"pairs": 256, "oracle_agree": 136}
         assert report.failing_names() == [
@@ -420,12 +438,15 @@ def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):
     monkeypatch.setattr(pauli, "mul_words", refuse)
     monkeypatch.setattr(element, "mul_words", refuse)
     monkeypatch.setattr(matrices, "element_matrix", refuse)
+    monkeypatch.setattr(exprparse, "parse_expr", refuse)
+    monkeypatch.setattr(epr, "parse_expr", refuse)
+    # Read every row afresh, under the patches: the oracle's reading is its own.
+    epr._program.cache_clear()
     rows = [row for rows in epr.CLAIMS.values() for row in rows]
     assert len(rows) == 97  # the report adds the 10 closure checks and the trace
     for row in rows:
-        left, right = epr._strict(row)
-        assert (approx_equal(matrices.expr_matrix(left), matrices.expr_matrix(right))
-                == (row.expected == "verified")), row.name
+        left, right = epr._programs(row)
+        assert approx_equal(left(), right()) == (row.expected == "verified"), row.name
 
 
 def test_the_hot_paths_leave_no_cyclic_garbage():
@@ -439,7 +460,7 @@ def test_the_hot_paths_leave_no_cyclic_garbage():
     try:
         for work in (lambda: run_full_report().to_json(),
                      lambda: exprparse.to_element(parse_expr(text)),
-                     lambda: matrices.expr_matrix(parse_expr(text)),
+                     lambda: matrices.expr_matrix(text),
                      lambda: constraint_flags(table)):
             work()
             assert gc.collect() == 0
@@ -448,7 +469,7 @@ def test_the_hot_paths_leave_no_cyclic_garbage():
 
 
 def test_numeric_psi_route_matches_symbolic_psi(singlet):
-    numeric = matrices.expr_matrix(parse_expr("psi"))
+    numeric = matrices.expr_matrix("psi")
     assert approx_equal(numeric, element_matrix(singlet.psi))
     with pytest.raises(TypeError):
         numeric[0, 0] = 0

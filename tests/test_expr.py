@@ -21,7 +21,7 @@ from eprkit.exprparse import (
     parse_expr,
     to_element,
 )
-from eprkit.matrices import element_matrix, expr_matrix
+from eprkit.matrices import ReadError, element_matrix, expr_matrix
 from eprkit.pauli import PREFIXES, SCALAR_ARITY, ArityMismatchError, PauliWord
 
 # Every word the grammar names, by pauli's prefix table: a prefix, then one
@@ -310,13 +310,12 @@ class TestRoundTrip:
 
 
 class TestArity:
-    """Both routes evaluate a parsed text at the arity the parser gave it."""
+    """Both routes evaluate a text at the arity its names give it."""
 
     @staticmethod
     def arity(text, singlet):
-        tree = parse_expr(text)
-        arity = to_element(tree, psi=singlet.psi).arity
-        assert expr_matrix(tree).dim == 2 ** arity
+        arity = to_element(parse_expr(text), psi=singlet.psi).arity
+        assert expr_matrix(text).dim == 2 ** arity
         return arity
 
     def test_two_site_symbols(self, singlet):
@@ -413,13 +412,14 @@ class TestEvaluation:
 
     def test_an_800_factor_chain_evaluates_at_the_default_recursion_limit(self):
         # The tree walk takes one frame per factor, so 800 factors fit under
-        # the default limit of 1000 with the test runner's frames on top.
+        # the default limit of 1000 with the test runner's frames on top, and
+        # the oracle's compiler reads the chain as one text.
         assert sys.getrecursionlimit() == 1000
-        tree = parse_expr("*".join(["E01", "E02", "E03"][k % 3] for k in range(800)))
+        text = "*".join(["E01", "E02", "E03"][k % 3] for k in range(800))
         # 266 times E01*E02*E03 = i, which is -1, then E01*E02 = i*E03.
         expected = -IM * E(0, 3)
-        assert to_element(tree) == expected
-        assert expr_matrix(tree) == element_matrix(expected)
+        assert to_element(parse_expr(text)) == expected
+        assert expr_matrix(text) == element_matrix(expected)
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)
@@ -435,23 +435,28 @@ class TestEvaluation:
         assert to_element(parse_expr("2 - 3/4*i")) == \
             Element.scalar(Scalar(2, Fraction(-3, 4)), 2)
 
-    @pytest.mark.parametrize("tree", [
-        Sym("E0"), Sym("X12"), Sym("e12"), Sym("E012"),
-        BinOp("/", Sym("E01"), Sym("E02")), BinOp("**", Sym("E01"), Sym("E02"))])
-    def test_a_name_or_operator_outside_the_grammar_evaluates_on_neither_route(self, tree):
-        for evaluate in (to_element, expr_matrix):
-            with pytest.raises(ExprSyntaxError, match="unknown (symbol|operator)"):
-                evaluate(tree)
+    # The exact route walks each case as a hand-built tree; the oracle reads it as text.
+    @pytest.mark.parametrize("tree, text", [
+        (Sym("E0"), "E0"), (Sym("X12"), "X12"), (Sym("e12"), "e12"), (Sym("E012"), "E012"),
+        (BinOp("/", Sym("E01"), Sym("E02")), "E01/E02"),
+        (BinOp("**", Sym("E01"), Sym("E02")), "E01**E02")])
+    def test_a_name_or_operator_outside_the_grammar_evaluates_on_neither_route(self, tree, text):
+        with pytest.raises(ExprSyntaxError, match="unknown (symbol|operator)"):
+            to_element(tree)
+        with pytest.raises(ReadError):
+            expr_matrix(text)
 
     def test_a_plain_tuple_is_no_node_on_either_route(self):
         # It equals the BinOp of the same fields, but only the node types evaluate.
         fake = ("*", Sym("E01"), Sym("E02"))
         assert fake == BinOp("*", Sym("E01"), Sym("E02"))
-        for evaluate in (to_element, expr_matrix):
+        for tree in (fake, BinOp("+", Sym("E01"), fake)):
             with pytest.raises(TypeError, match="not an expression node"):
-                evaluate(fake)
-            with pytest.raises(TypeError, match="not an expression node"):
-                evaluate(BinOp("+", Sym("E01"), fake))
+                to_element(tree)
+        # The oracle reads text alone: no tree, a parsed one included, is its input.
+        for tree in (fake, parse_expr("E01*E02"), None):
+            with pytest.raises(TypeError, match="^the oracle reads text, got "):
+                expr_matrix(tree)
 
     def test_negation_sum_and_difference_agree_on_both_routes(self, singlet):
         cases = {
@@ -464,9 +469,8 @@ class TestEvaluation:
             "-e1 + e2 - (e3 - -e0)": -e(1) + e(2) - e(3) - e(0),
         }
         for text, expected in cases.items():
-            tree = parse_expr(text)
-            assert to_element(tree, psi=singlet.psi) == expected, text
-            assert expr_matrix(tree) == element_matrix(expected), text
+            assert to_element(parse_expr(text), psi=singlet.psi) == expected, text
+            assert expr_matrix(text) == element_matrix(expected), text
 
     def test_printed_elements_reparse_to_the_same_element(self, singlet):
         samples = [

@@ -5,19 +5,22 @@ parentheses, unary minus, ``a/b`` literals (``/0`` included), ``i``, ``I``,
 ``psi``, ``e0``..``e3`` and ``E00``..``E33``, and now and then one character
 replaced, inserted or deleted.  Each text runs through ``cli.main`` in
 process.  Exit 0 must print an element that re-parses to the same element at
-the same arity and whose matrix equals the matrix route's value of the input;
-exit 2 must name an expression error or a print limit, never an internal one.
+the same arity and whose matrix equals the matrix oracle's value of the input
+text, read by the oracle's own reader; exit 2 must name an expression error
+or a print limit, never an internal one, and a text the parser refuses the
+oracle's reader refuses too.
 """
 
 import contextlib
 import io
 import itertools
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eprkit.cli import main
 from eprkit.exprparse import BinOp, ExprError, Lit, Neg, Sym, _Parser, parse_expr, to_element
-from eprkit.matrices import element_matrix, expr_matrix
+from eprkit.matrices import ReadError, element_matrix, expr_matrix
 from eprkit.singlet import build_singlet
 
 # The recursive-descent parser and the tree walks recurse once per nesting
@@ -96,14 +99,17 @@ def test_eval_prints_a_reparsing_element_or_names_the_error(text):
     assert "internal error" not in out + err
     if code == 2:
         assert out == ""
-        assert err.split(":")[0] in ERRORS, err
+        kind = err.split(":")[0]
+        assert kind in ERRORS, err
+        if kind != "PrintLimitError":  # the text does not parse
+            with pytest.raises(ReadError):
+                expr_matrix(text)
         return
     assert code == 0 and err == "", (code, err)
-    tree = parse_expr(text)
-    el = to_element(tree, psi=PSI)
+    el = to_element(parse_expr(text), psi=PSI)
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert to_element(parse_expr(out[:-1])) == el
-    assert element_matrix(el) == expr_matrix(tree)
+    assert element_matrix(el) == expr_matrix(text)
 
 
 

@@ -10,11 +10,12 @@ from hypothesis import example, given, strategies as st
 
 from eprkit import matrices
 from eprkit.element import E, Element, IM
-from eprkit.exprparse import parse_expr
+from eprkit.exprparse import parse_expr, to_element
 from eprkit.matrices import (
     DimensionMismatchError,
     LETTER_MATRICES,
     Matrix,
+    ReadError,
     approx_equal,
     element_matrix,
     expr_matrix,
@@ -257,7 +258,7 @@ def test_the_zero_scalar_is_built_empty(dim, texts):
     assert zero == Matrix.scalar(dim, Fraction(0), 0) == Matrix._scalar(dim, 7, 0, 0)
     assert Matrix._scalar(dim, 7, 0, 0)._rows == zero._rows  # empty over any denominator
     for text in texts:
-        m = expr_matrix(parse_expr(text))
+        m = expr_matrix(text)
         assert m == zero and m._rows == zero._rows
 
 
@@ -282,7 +283,7 @@ class TestElementMatrix:
     def test_singlet_matrices_are_hermitian(self, singlet):
         # eigenvalues() reads one triangle only, so it cannot see this.
         for m in (element_matrix(singlet.psi), element_matrix(singlet.projector),
-                  matrices.expr_matrix(parse_expr("psi"))):
+                  matrices.expr_matrix("psi")):
             for r, c in itertools.product(range(m.dim), repeat=2):
                 re, im = m.entry(c, r)
                 assert m.entry(r, c) == (re, -im), (r, c)
@@ -317,9 +318,9 @@ class TestApproxEqual:
         assert not approx_equal("E12", m)
 
 
-def test_the_oracle_imports_no_eprkit_module_but_the_tree_walk():
+def test_the_oracle_imports_no_eprkit_module():
     # Independence by construction: the matrix route cannot reach the
-    # letter composition or the element arithmetic it cross-checks.
+    # letter composition, the element arithmetic or the parser it cross-checks.
     tree = ast.parse(Path(matrices.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -331,4 +332,46 @@ def test_the_oracle_imports_no_eprkit_module_but_the_tree_walk():
             imported.update("eprkit." + alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
-    assert {m for m in imported if m.split(".")[0] == "eprkit"} == {"eprkit.exprparse"}
+    assert {m for m in imported if m.split(".")[0] == "eprkit"} == set()
+
+
+@pytest.mark.parametrize("text", [
+    "E01", "e1*e2", "2", "I", "i*e0", "psi", "-(1/2*E11 - i) + E22*-E33",
+    # whitespace anywhere between tokens, a literal's '/' included; leading zeros
+    "1 /\t2*E01\n+ E10", "\n(E01)\n", "007*E12 - 0/3", "- -E01*-(E00)",
+])
+def test_the_oracle_reads_what_the_parser_reads(text, singlet):
+    assert expr_matrix(text) == element_matrix(to_element(parse_expr(text), psi=singlet.psi))
+
+
+@pytest.mark.parametrize("text, message", [
+    # names outside the table
+    ("E0", "unknown name 'E0'"), ("E04", "unknown name 'E04'"), ("X12", "unknown name 'X12'"),
+    ("e12", "unknown name 'e12'"), ("E0_1", "unknown name 'E0'"), ("if", "unknown name 'if'"),
+    # '/' outside an int/int literal
+    ("E01/E02", "'/' outside an int/int literal"), ("1/E01", "'/' outside an int/int literal"),
+    ("1/", "'/' outside an int/int literal"), ("1/0", "zero denominator"),
+    # characters outside the grammar
+    ("E01**E02", "operands and operators out of turn"), ("1.5", "unexpected character '.'"),
+    ("E01,E02", "unexpected character ','"),
+    # juxtaposition, which Python reads as a call; (), a tuple; unary +; the empty text
+    ("E01 E02", "operands and operators out of turn"),
+    ("E01(E02)", "operands and operators out of turn"),
+    ("(E01)(E02)", "operands and operators out of turn"),
+    ("()", "operands and operators out of turn"), ("+E01", "operands and operators out of turn"),
+    ("E01*+E02", "operands and operators out of turn"), ("", "operands and operators out of turn"),
+    ("E01*", "operands and operators out of turn"),
+    # unpaired or too deeply nested parentheses
+    ("(E01", "parentheses"), ("E01)", "parentheses"), ("E01)+(E02", "parentheses"),
+    pytest.param("(" * 250 + "E01" + ")" * 250, "parentheses", id="250-nested"),
+    pytest.param("1" + "0" * 5000, "numeric literal too long", id="5001-digit literal"),
+    # non-ASCII: Python would read the full-width text as E01
+    ("\uff25\uff10\uff11", "non-ASCII character '\uff25'"), ("\xe9", "non-ASCII character '\xe9'"),
+    ("E01\u3000+E02", "non-ASCII character '\\u3000'"),
+    # names of both arities
+    ("e1+E01", "single-site and two-site names mixed"), ("psi*e1", "single-site and two-site names mixed"),
+])
+def test_the_oracle_refuses_what_the_grammar_does_not_read(text, message):
+    with pytest.raises(ReadError) as info:
+        expr_matrix(text)
+    assert str(info.value).startswith(message)
