@@ -18,9 +18,11 @@ equality.  The constraint rows get a third, realist reading
 (:func:`constraint_flags`): each word a definite +1/-1 value, the
 assumption the paper disputes.  Only ``trace_normalized(-psi) = 1/4`` is
 outside the grammar and checked by hand.  The rows are constant, so each
-side is parsed once per process (:func:`_sides`) and each text read once by
-the oracle (:data:`_program`); each report evaluates the trees and the
-programs again, the trees against its own psi, so only syntax is reused.
+row is read once per process into one record (:func:`_record`): its parsed
+sides, the two trees that decide it, the oracle's two programs (each text
+compiled once, :data:`_program`) and a battery row's closure twin.  A
+record holds syntax only, never a value: each report evaluates the trees
+against its own psi and runs the programs afresh.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
 difference with the singlet constraints at the right end of its words
@@ -215,25 +217,18 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
 # --- the two interpreters --------------------------------------------------------
 
 def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck:
-    status = "verified" if residual.is_zero else "refuted"
-    return IdentityCheck(name=row.name, paper_ref=row.paper_ref, kind=row.kind,
-                         expected=row.expected, status=status,
-                         residual_terms=len(residual.terms),
-                         oracle_ok=oracle_equal == (status == "verified"))
+    verified = residual.is_zero
+    # Positional, with tuple.__new__: the NamedTuple without its keyword __new__.
+    return tuple.__new__(IdentityCheck, (
+        row.name, row.paper_ref, row.kind, row.expected,
+        "verified" if verified else "refuted", len(residual.terms), oracle_equal == verified))
 
 
-@cache
-def _sides(row: Claim) -> tuple[Expr, Expr]:
-    """The parsed ``lhs`` and ``rhs`` of ``row``, once per process per row."""
-    return parse_expr(row.lhs), parse_expr(row.rhs)
-
-
-def _strict(row: Claim) -> tuple[Expr, Expr]:
-    """The two trees whose strict equality decides ``row``.
+def _strict(row: Claim, lhs: Expr, rhs: Expr) -> tuple[Expr, Expr]:
+    """The two trees whose strict equality decides ``row``, from its parsed sides.
 
     A mod-psi claim ``lhs = rhs`` becomes ``(lhs)*psi = (rhs)*psi``.
     """
-    lhs, rhs = _sides(row)
     if row.kind == "mod-psi":
         return BinOp("*", lhs, Sym("psi")), BinOp("*", rhs, Sym("psi"))
     if row.kind != "strict":
@@ -257,15 +252,36 @@ def _programs(row: Claim) -> tuple[Callable[[], Matrix], Callable[[], Matrix]]:
     return _program(row.lhs), _program(row.rhs)
 
 
-def _decide(row: Claim, psi: Element | None) -> tuple[Element, bool]:
-    """The exact residual of ``row`` and whether the oracle finds it equal."""
-    lhs, rhs = _strict(row)
-    left, right = _programs(row)
-    return to_element(lhs, psi) - to_element(rhs, psi), approx_equal(left(), right())
+class _Record(NamedTuple):
+    """A claim row as read once per process: syntax only, never a value."""
+
+    sides: tuple[Expr, Expr]        # the parsed lhs and rhs
+    lhs: Expr                       # the two trees whose strict equality decides the row
+    rhs: Expr
+    left: Callable[[], Matrix]      # the oracle's programs for the same claim
+    right: Callable[[], Matrix]
+    closure: Claim | None           # a battery row's closure twin, else None
+
+
+@cache
+def _record(row: Claim) -> _Record:
+    """``row`` read once per process: parsed, rewritten and compiled."""
+    sides = parse_expr(row.lhs), parse_expr(row.rhs)
+    closure = None
+    if row in CLAIMS["battery"]:
+        closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
+                               paper_ref="re-derivation from the defining constraints")
+    return _Record(sides, *_strict(row, *sides), *_programs(row), closure)
+
+
+def _decide(rec: _Record, psi: Element | None) -> tuple[Element, bool]:
+    """The exact residual of a record's claim and whether the oracle finds it equal."""
+    residual = to_element(rec.lhs, psi) - to_element(rec.rhs, psi)
+    return residual, approx_equal(rec.left(), rec.right())
 
 
 def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
-    return [_outcome(row, *_decide(row, psi)) for row in CLAIMS[stage]]
+    return [_outcome(row, *_decide(_record(row), psi)) for row in CLAIMS[stage]]
 
 
 _TRACE_ROW = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
@@ -333,13 +349,12 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     """
     checks = []
     for row in CLAIMS["battery"]:
-        residual, oracle_equal = _decide(row, s.psi)
+        rec = _record(row)
+        residual, oracle_equal = _decide(rec, s.psi)
         checks.append(_outcome(row, residual, oracle_equal))
-        lhs, rhs = _sides(row)
+        lhs, rhs = rec.sides
         diff = to_element(lhs) - to_element(rhs)
-        closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
-                               paper_ref="re-derivation from the defining constraints")
-        checks.append(_outcome(closure, _constraint_remainder(diff), oracle_equal))
+        checks.append(_outcome(rec.closure, _constraint_remainder(diff), oracle_equal))
     return checks
 
 
@@ -373,7 +388,7 @@ def _literal(value: Scalar, arity: int) -> Scalar:
 def _table_words(rows: tuple[Claim, ...]) -> tuple[PauliWord, ...]:
     """The words ``rows`` name, in order of first appearance (syntax only)."""
     first: dict[PauliWord, int] = {}
-    for side in itertools.chain.from_iterable(map(_sides, rows)):
+    for side in itertools.chain.from_iterable(_record(row).sides for row in rows):
         evaluate(side, _literal, lambda letters: first.setdefault(PauliWord(letters), 1))
     return tuple(first)
 
@@ -391,8 +406,11 @@ def constraint_flags(table: dict[PauliWord, int]) -> dict[str, bool]:
     realist reading, which the paper disputes.
     """
     value = table.__getitem__
-    return {name: evaluate(lhs, _literal, value) == evaluate(rhs, _literal, value)
-            for name, (lhs, rhs) in zip(CONSTRAINT_NAMES, map(_sides, CONSTRAINT_NAMES.values()))}
+    flags = {}
+    for name, row in CONSTRAINT_NAMES.items():
+        lhs, rhs = _record(row).sides
+        flags[name] = evaluate(lhs, _literal, value) == evaluate(rhs, _literal, value)
+    return flags
 
 
 def peres_counts(flags: list[dict[str, bool]]) -> dict[str, int]:
@@ -486,7 +504,7 @@ class VerificationReport(NamedTuple):
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``."""
-        return _json(self.to_dict()) + "\n"
+        return _json(self._asdict()) + "\n"
 
     def to_markdown(self) -> str:
         def sets(key: str) -> str:
@@ -537,11 +555,20 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
+@cache
+def _check_template(indent: str) -> str:
+    """The JSON object of an :class:`IdentityCheck` at ``indent``, a ``%s`` per field."""
+    inner = indent + "  "
+    return "{" + ",".join(f"{inner}{encode_basestring_ascii(field)}: %s"
+                          for field in IdentityCheck._fields) + indent + "}"
+
+
 def _json(value, indent: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it.
 
     Only the types a report holds are written: dicts with str keys, lists,
-    str, int and bool; any other type raises TypeError.
+    str, int and bool, and an :class:`IdentityCheck` as the dict of its
+    fields; any other type raises TypeError.
     """
     t = type(value)
     if t is str:
@@ -550,6 +577,8 @@ def _json(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if t is int:
         return int.__repr__(value)
+    if t is IdentityCheck:
+        return _check_template(indent) % tuple(map(_json, value))
     inner = indent + "  "
     if t is list:
         items, ends = [_json(v, inner) for v in value], "[]"

@@ -290,7 +290,7 @@ def parse_expr(text: str) -> Expr:
 
 def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
              word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
-    """Fold a tree bottom-up in any algebra.
+    """Fold a tree bottom-up in any algebra, one frame per tree level.
 
     ``scalar`` gives a literal its value from the literal's value and arity,
     ``word`` gives a symbol's letters theirs, and ``psi`` is the value of the
@@ -299,43 +299,33 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
     ``word`` receives the same tuple for each name and may cache on it.  A
     name or an operator the grammar does not have raises
     :class:`ExprSyntaxError`: only a hand-built tree holds one.
-
-    The walk leaves no reference cycle behind.  The nested ``ev`` recurses
-    through the closure cell that holds it, a function <-> cell cycle that
-    would keep ``ev``, the callbacks and ``psi`` alive until the cyclic
-    collector ran; the walk empties that cell when it returns or raises.
     """
-    def ev(n: Expr) -> T:
-        kind = type(n)  # exact node types only: a plain tuple is no node
-        if kind is BinOp:
-            left, right = ev(n.left), ev(n.right)
-            op = n.op
-            if op == "*":
-                return left * right
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            raise ExprSyntaxError(f"unknown operator {op!r}")
-        if kind is Lit:
-            return scalar(n.value, n.arity)
-        if kind is Sym:
-            letters = _LETTERS.get(n.name)
-            if letters is not None:
-                return word(letters)
-            if n.name != "psi":
-                raise ExprSyntaxError(f"unknown symbol {n.name!r}")
-            if psi is None:
-                raise ExprError("psi is not available in this context")
-            return psi
-        if kind is Neg:
-            return -ev(n.arg)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    try:
-        return ev(node)
-    finally:
-        del ev  # break the function <-> cell cycle, so reference counting frees the walk
+    kind = type(node)  # exact node types only: a plain tuple is no node
+    if kind is BinOp:
+        left = evaluate(node.left, scalar, word, psi)
+        right = evaluate(node.right, scalar, word, psi)
+        op = node.op
+        if op == "*":
+            return left * right
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        raise ExprSyntaxError(f"unknown operator {op!r}")
+    if kind is Lit:
+        return scalar(node.value, node.arity)
+    if kind is Sym:
+        letters = _LETTERS.get(node.name)
+        if letters is not None:
+            return word(letters)
+        if node.name != "psi":
+            raise ExprSyntaxError(f"unknown symbol {node.name!r}")
+        if psi is None:
+            raise ExprError("psi is not available in this context")
+        return psi
+    if kind is Neg:
+        return -evaluate(node.arg, scalar, word, psi)
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_element(node: Expr, psi: Element | None = None) -> Element:

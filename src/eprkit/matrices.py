@@ -310,8 +310,10 @@ def expr_program(text: str) -> Callable[[], Matrix]:
     other character, operands and operators out of turn (which Python would
     read as a call, a tuple or a unary ``+``), unpaired parentheses,
     single-site and two-site names in one text, and non-ASCII text (Python
-    would normalize ``Ｅ０１`` to ``E01``).  A chain too long for the compiler
-    raises its ``RecursionError``.
+    would normalize ``Ｅ０１`` to ``E01``).  A text nested too deeply for
+    Python's parser and compiler raises what they raise: a
+    ``RecursionError`` for a chain of 3,000 factors or 5,000 leading ``-``,
+    a bare ``MemoryError`` for 10,001 leading ``-``.
     """
     if not isinstance(text, str):
         raise TypeError(f"the oracle reads text, got {type(text).__name__}")

@@ -297,6 +297,19 @@ class TestFullReport:
         assert run_full_report(fault="corrupt-singlet").failing_names() == first
         assert len(first) == 69
 
+    def test_a_warm_report_redoes_every_oracle_product(self, monkeypatch):
+        # Only syntax is reused: after one report, with every cache left as it
+        # is, negating each matrix product moves the next report's oracle.
+        run_full_report()
+        product = matrices.Matrix.__mul__
+        monkeypatch.setattr(matrices.Matrix, "__mul__", lambda a, b: -product(a, b))
+        report = run_full_report()
+        assert report.homomorphism == {"pairs": 256, "oracle_agree": 0}
+        assert report.overall == "fail"
+        failing = report.failing_names()
+        assert len(failing) == 24
+        assert not any(by_name(report.checks)[n].oracle_ok for n in failing)
+
     def test_markdown_names_the_verdict(self):
         md = run_full_report().to_markdown()
         assert "overall: **pass**" in md
@@ -326,10 +339,14 @@ class TestFullReport:
         # Drop the right factor psi from the exact route's rewrite: every
         # verified mod-psi claim is then refuted there, and the oracle, which
         # writes its own mod-psi text, disagrees with each.  The closure twins
-        # pass: their borrowed oracle is right.
-        monkeypatch.setattr(epr, "_strict",
-                            lambda row: (parse_expr(row.lhs), parse_expr(row.rhs)))
-        report = run_full_report()
+        # pass: their borrowed oracle is right.  The rows are read again under
+        # the patch, and again once it goes.
+        monkeypatch.setattr(epr, "_strict", lambda row, lhs, rhs: (lhs, rhs))
+        epr._record.cache_clear()
+        try:
+            report = run_full_report()
+        finally:
+            epr._record.cache_clear()
         assert report.overall == "fail"
         mod_psi = {f"{label} (mod psi)" for label in VERIFIED_BATTERY}
         mod_psi |= {f"(E0{k}+E{k}0)*psi = 0" for k in (1, 2, 3)}
@@ -345,12 +362,12 @@ class TestFullReport:
         # itself, so it disagrees with every check whose verdict the fault moves.
         for arity, factors in exprparse._FACTORS.items():
             monkeypatch.setitem(factors, "i", exprparse.Lit(-element.IM, arity))
-        epr._sides.cache_clear()
+        epr._record.cache_clear()
         epr._program.cache_clear()
         try:
             report = run_full_report()
         finally:
-            epr._sides.cache_clear()
+            epr._record.cache_clear()
             epr._program.cache_clear()
         golden = {c["name"]: c["status"] for c in json.loads(GOLDEN_JSON)["checks"]}
         moved = {c.name for c in report.checks if c.status != golden[c.name]}
@@ -361,7 +378,7 @@ class TestFullReport:
     def test_an_unknown_check_kind_is_refused(self):
         row = epr.CLAIMS["battery"][0]._replace(kind="weird")
         with pytest.raises(ValueError, match="^unknown check kind 'weird'$"):
-            epr._strict(row)
+            epr._record(row)
 
     def test_a_row_held_twice_is_refused(self, monkeypatch):
         monkeypatch.setitem(epr.CLAIMS, "combined", epr.CLAIMS["combined"] * 2)
@@ -407,11 +424,13 @@ class TestFullReport:
                             (letters[0], letters[1], -letters[2], letters[3]))
         matrices._symbol_matrix.cache_clear()
         epr._program.cache_clear()
+        epr._record.cache_clear()
         try:
             report = run_full_report()
         finally:
             matrices._symbol_matrix.cache_clear()
             epr._program.cache_clear()
+            epr._record.cache_clear()
         assert report.overall == "fail"
         assert report.homomorphism == {"pairs": 256, "oracle_agree": 136}
         assert report.failing_names() == [
@@ -488,6 +507,19 @@ json_values = st.recursive(
 @given(json_values)
 def test_report_writer_matches_the_standard_encoder(value):
     assert epr._json(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_writes_a_check_as_the_dict_of_its_fields():
+    # One template per depth stands for the check's _asdict(), escapes included.
+    check = epr.IdentityCheck('a "quoted" \u00e9 name', "ref", "strict", "verified",
+                              "refuted", 12, False)
+    for value, as_dicts in ((check, check._asdict()),
+                            ([check], [check._asdict()]),
+                            ({"checks": [check, check]}, {"checks": [check._asdict()] * 2}),
+                            ([{"deeper": [check]}], [{"deeper": [check._asdict()]}])):
+        assert epr._json(value) == json.dumps(as_dicts, indent=2)
+    with pytest.raises(TypeError):
+        epr._json(check._replace(residual_terms=1.5))
 
 
 def test_report_writer_refuses_what_a_report_does_not_hold():

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from eprkit import matrices
 from eprkit.element import E, Element, IM
-from eprkit.exprparse import parse_expr, to_element
+from eprkit.exprparse import ExprError, parse_expr, to_element
 from eprkit.matrices import (
     DimensionMismatchError,
     LETTER_MATRICES,
@@ -342,6 +342,32 @@ def test_the_oracle_imports_no_eprkit_module():
 ])
 def test_the_oracle_reads_what_the_parser_reads(text, singlet):
     assert expr_matrix(text) == element_matrix(to_element(parse_expr(text), psi=singlet.psi))
+
+
+# The small-scope tokens: a name of each arity, psi, the units, two literals,
+# every operator and both parentheses.
+SMALL_TOKENS = ("E01", "e1", "psi", "i", "I", "2", "1/2", "+", "-", "*", "(", ")")
+
+
+def test_the_two_readers_agree_on_every_short_text(singlet):
+    # Every text of one to four tokens: the parser and the tree walk accept
+    # exactly the texts the oracle's reader accepts, each with one matrix.
+    accepted = 0
+    for n in range(1, 5):
+        for tokens in itertools.product(SMALL_TOKENS, repeat=n):
+            text = " ".join(tokens)
+            try:
+                exact = element_matrix(to_element(parse_expr(text), psi=singlet.psi))
+            except ExprError:
+                exact = None
+            try:
+                program = matrices.expr_program(text)
+            except ReadError:
+                assert exact is None, text
+                continue
+            assert exact == program(), text
+            accepted += 1
+    assert accepted == 454
 
 
 @pytest.mark.parametrize("text, message", [
