@@ -603,20 +603,33 @@ _REPORT_NOTES = [
 ]
 
 
+@cache
+def _word_phases() -> dict[PauliWord, tuple[Matrix, ...]]:
+    """Each two-site word's oracle matrix times each unit ``i**k``, k = 0..3.
+
+    Built once per process from :func:`~eprkit.matrices._symbol_matrix`
+    alone, like the word matrices themselves; ``k = 0`` is the word matrix.
+    """
+    return {w: tuple(_symbol_matrix(w).times_i(k) for k in range(4))
+            for w in map(PauliWord, itertools.product(range(4), repeat=2))}
+
+
 def _word_product_cross_check() -> dict:
-    """Every two-site word product against the matrix route."""
-    words = [PauliWord(t) for t in itertools.product(range(4), repeat=2)]
+    """Every two-site word product against the matrix route.
+
+    The phase table is constant; each report multiplies all 256 pairs of
+    word matrices afresh and compares each product with the phase image of
+    the word and phase that ``mul_words`` gives.
+    """
+    phases = _word_phases()
     agree = 0
-    mats = {w: _symbol_matrix(w) for w in words}
-    # Each word matrix times each unit i**k, built once per report.
-    phased = {w: [m.times_i(k) for k in range(4)] for w, m in mats.items()}
-    for a in words:
-        ma = mats[a]
-        for b in words:
+    for a, pa in phases.items():
+        ma = pa[0]
+        for b, pb in phases.items():
             k, w = mul_words(a, b)
-            if ma * mats[b] == phased[w][k]:
+            if ma * pb[0] == phases[w][k]:
                 agree += 1
-    return {"pairs": len(words) ** 2, "oracle_agree": agree}
+    return {"pairs": len(phases) ** 2, "oracle_agree": agree}
 
 
 def run_full_report(fault: str | None = None) -> VerificationReport:

@@ -13,10 +13,12 @@ moves that route alone.  Even ``psi`` is this module's own product of
 letter matrices, taken from no caller.  Entries are exact Gaussian
 rationals, so two matrices agree exactly when they are equal.  A matrix
 keeps one invariant, that it stores no zero entry; its denominator is never
-reduced, so equality compares values across denominators.  The product
-stores an entry's first term as it is, since a product of two nonzero
-Gaussian integers is nonzero, and sums, dropping a zero, only when a later
-term meets a stored entry.
+reduced.  The product and the sum test whether a column is already stored:
+a new entry is stored as it is (a product of two nonzero Gaussian integers,
+or a nonzero addend), and a term that meets a stored entry is added to it,
+the entry dropped if the sum is zero.  Over one denominator ``==`` compares
+the rows; across two it walks them once, checking the same columns and
+cross-multiplied parts, and returns at the first difference.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from math import gcd, lcm, prod
 __all__ = [
     "DimensionMismatchError",
     "LETTER_MATRICES",
+    "MAX_NESTING",
+    "MAX_OPERANDS",
     "Matrix",
     "ReadError",
     "approx_equal",
@@ -131,12 +135,16 @@ class Matrix:
         rows = []
         for ra, rb in zip(self._rows, other._rows):
             acc = dict(ra) if fa == 1 else {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
-            pop = acc.pop
             for c, (re, im) in rb.items():
-                old_re, old_im = pop(c, (0, 0))
+                if c not in acc:  # nonzero, stored as it is
+                    acc[c] = (re * fb, im * fb)
+                    continue
+                old_re, old_im = acc[c]
                 re, im = old_re + re * fb, old_im + im * fb
-                if re or im:  # a cancelled entry goes
+                if re or im:
                     acc[c] = (re, im)
+                else:  # a cancelled entry goes
+                    del acc[c]
             rows.append(acc)
         return Matrix._new(self._dim, self._den * fa, rows)
 
@@ -156,14 +164,13 @@ class Matrix:
         rows = []
         for row in self._rows:
             acc: Row = {}
-            get = acc.get
             for k, (ar, ai) in row.items():
                 for c, (br, bi) in right[k].items():
-                    old = get(c)
-                    if old is None:  # nonzero times nonzero: a new entry is stored as it is
+                    if c not in acc:  # nonzero times nonzero: a new entry is stored as it is
                         acc[c] = (ar * br - ai * bi, ar * bi + ai * br)
                         continue
-                    re, im = old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br
+                    old_re, old_im = acc[c]
+                    re, im = old_re + ar * br - ai * bi, old_im + ar * bi + ai * br
                     if re or im:
                         acc[c] = (re, im)
                     else:  # a cancelled entry goes; a later term stores it anew
@@ -180,10 +187,13 @@ class Matrix:
         k %= 4
         if not k:
             return self
-        return Matrix._new(self._dim, self._den, [
-            {c: (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-             for c, (re, im) in row.items()}
-            for row in self._rows])
+        if k == 1:
+            rows = [{c: (-im, re) for c, (re, im) in row.items()} for row in self._rows]
+        elif k == 2:
+            rows = [{c: (-re, -im) for c, (re, im) in row.items()} for row in self._rows]
+        else:
+            rows = [{c: (im, -re) for c, (re, im) in row.items()} for row in self._rows]
+        return Matrix._new(self._dim, self._den, rows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """The Kronecker product, ``self`` on the leftmost factor."""
@@ -202,10 +212,14 @@ class Matrix:
         if da == db:
             return self._rows == other._rows
         # a/da == b/db exactly when a*db == b*da, part by part.
-        return all(ra.keys() == rb.keys()
-                   and all(re * db == rb[c][0] * da and im * db == rb[c][1] * da
-                           for c, (re, im) in ra.items())
-                   for ra, rb in zip(self._rows, other._rows))
+        for ra, rb in zip(self._rows, other._rows):
+            if ra.keys() != rb.keys():
+                return False
+            for c, (re, im) in ra.items():
+                b_re, b_im = rb[c]
+                if re * db != b_re * da or im * db != b_im * da:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"Matrix(dim={self._dim}, den={self._den}, rows={self._rows!r})"
@@ -284,10 +298,15 @@ _UNITS = {dim: {"i": Matrix._scalar(dim, 1, 0, 1), "I": Matrix._scalar(dim, 1, 1
 # a name (3), an operator or a parenthesis (4), or any other character that is
 # not whitespace (5).
 _TOKEN = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?|([A-Za-z0-9]+)|([-+*()])|(\S)")
+# The reader's bounds, far inside what Python's parser and compiler read at
+# the default recursion limit: parentheses and unary minus signs nested in one
+# another, and operands in one text.
+MAX_NESTING = 100
+MAX_OPERANDS = 1000
 # The grammar's token sequences, one character per token and "a" for an
 # operand: operands and binary operators alternate, a '(' or a unary '-' may
-# come before an operand and a ')' after one.  The compiler pairs the
-# parentheses.
+# come before an operand and a ')' after one.  The token pass pairs the
+# parentheses, so Python's compiler meets only texts it reads.
 _SHAPE = re.compile(r"[(-]*a\)*(?:[-+*][(-]*a\)*)*")
 
 
@@ -310,10 +329,13 @@ def expr_program(text: str) -> Callable[[], Matrix]:
     other character, operands and operators out of turn (which Python would
     read as a call, a tuple or a unary ``+``), unpaired parentheses,
     single-site and two-site names in one text, and non-ASCII text (Python
-    would normalize ``Ｅ０１`` to ``E01``).  A text nested too deeply for
-    Python's parser and compiler raises what they raise: a
-    ``RecursionError`` for a chain of 3,000 factors or 5,000 leading ``-``,
-    a bare ``MemoryError`` for 10,001 leading ``-``.
+    would normalize ``Ｅ０１`` to ``E01``).  The reader also bounds the
+    text in the same token pass, so that ``compile`` never meets a text
+    nested deeper than it reads: more than :data:`MAX_NESTING`
+    parentheses and unary minus signs nested in one another, or more than
+    :data:`MAX_OPERANDS` operands, raise :class:`ReadError`.  Within them
+    every text compiles at the default recursion limit on Python 3.11
+    when the caller is under about 650 frames deep.
     """
     if not isinstance(text, str):
         raise TypeError(f"the oracle reads text, got {type(text).__name__}")
@@ -322,14 +344,44 @@ def expr_program(text: str) -> Callable[[], Matrix]:
     names: dict = {"__builtins__": {}}
     literals: dict[tuple[int, int], str] = {}
     source, shape, arities = [], [], set()
+    # The depth counts the open parentheses and the unary minus signs over the
+    # coming operand, as Python nests them: the signs before an operand close
+    # at it, those before a '(' at its ')'.
+    depth = signs = operands = 0
+    outer_signs: list[int] = []  # per open '(', the signs before it
+    after_operand = unmatched = False
     for num, den, name, op, other in _TOKEN.findall(text):
         if op:
             source.append(op)
             shape.append(op)
+            if op == ")":
+                if outer_signs:
+                    depth -= 1 + outer_signs.pop()
+                else:
+                    unmatched = True
+                after_operand = True
+                continue
+            if op == "(" or op == "-" and not after_operand:  # not a binary operator
+                if op == "(":
+                    outer_signs.append(signs)
+                    signs = 0
+                else:
+                    signs += 1
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ReadError("parentheses and unary minus signs nested deeper "
+                                    f"than {MAX_NESTING}")
+            after_operand = False
             continue
         if other:
             raise ReadError("'/' outside an int/int literal" if other == "/"
                             else f"unexpected character {other!r}")
+        operands += 1
+        if operands > MAX_OPERANDS:
+            raise ReadError(f"more than {MAX_OPERANDS} operands")
+        depth -= signs
+        signs = 0
+        after_operand = True
         shape.append("a")
         if name:
             letters = _WORD_LETTERS.get(name)
@@ -354,15 +406,14 @@ def expr_program(text: str) -> Callable[[], Matrix]:
         raise ReadError("operands and operators out of turn")
     if len(arities) > 1:
         raise ReadError("single-site and two-site names mixed in one expression")
+    if unmatched or outer_signs:  # as Python's tokenizer says it
+        raise ReadError("parentheses: unmatched ')'" if unmatched
+                        else "parentheses: '(' was never closed")
     dim = 2 ** arities.pop() if arities else 4
     names.update(_UNITS[dim])
     for (n, d), key in literals.items():
         names[key] = Matrix._scalar(dim, d, n, 0)
-    try:
-        code = compile(" ".join(source), "<expr>", "eval")
-    except SyntaxError as exc:  # unpaired, or nested deeper than the compiler reads
-        raise ReadError(f"parentheses: {exc.msg}") from None
-    return partial(eval, code, names)
+    return partial(eval, compile(" ".join(source), "<expr>", "eval"), names)
 
 
 def approx_equal(a: Matrix, b: Matrix) -> bool:

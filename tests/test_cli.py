@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eprkit import cli
+from eprkit import cli, triples
 from eprkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,6 +132,14 @@ class TestTriples:
         assert "(E10, E20, E30)" in out
         assert "(E13, E20, E33)" in out
         assert "listed but not found:\n  none" in out
+
+    def test_diff_prints_a_listed_set_the_scan_does_not_find(self, capsys, monkeypatch):
+        # E11, E22 and E33 commute, so no basic triple holds them; the published
+        # list holds every set the scan finds, so the loop is empty otherwise.
+        monkeypatch.setattr(triples, "PAPER_BASIC_SETS", (((1, 1), (2, 2), (3, 3)),))
+        code, out, _ = run_cli(capsys, "triples", "--diff-paper")
+        assert code == 0
+        assert out.endswith("listed but not found:\n  (E11, E22, E33)\n")
 
 
 class TestPeres:

@@ -49,6 +49,13 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
 
+    @pytest.mark.parametrize("op", [lambda s: "x" - s, lambda s: s / "x", lambda s: "x" / s],
+                             ids=["rsub", "truediv", "rtruediv"])
+    def test_an_operand_that_is_no_scalar_is_refused(self, op):
+        # Each operator returns NotImplemented, and Python raises TypeError.
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(Scalar(1, 2))
+
     def test_bool(self):
         assert not ZERO
         assert Scalar(0, Fraction(1, 3))

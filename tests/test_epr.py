@@ -418,19 +418,23 @@ class TestFullReport:
     def test_corrupted_letter_matrix_fails_on_the_matrix_route(self, monkeypatch):
         # negate the e2 matrix before any symbol matrix is built from it: psi is
         # unchanged (it holds e2 twice), and every claim whose two sides differ in
-        # the parity of their e2 letters loses its oracle, as do 120 of 256 products
+        # the parity of their e2 letters loses its oracle, as do 120 of 256 products.
+        # The cross-check's phase table is built from the symbol matrices, so it
+        # is cleared with them, before the report and after: a table left from
+        # the true letters would compare true products with true phases and
+        # hide the fault, and one left from the negated letters would spoil
+        # every later report in the process.
         letters = matrices.LETTER_MATRICES
         monkeypatch.setattr(matrices, "LETTER_MATRICES",
                             (letters[0], letters[1], -letters[2], letters[3]))
-        matrices._symbol_matrix.cache_clear()
-        epr._program.cache_clear()
-        epr._record.cache_clear()
+        caches = (matrices._symbol_matrix, epr._word_phases, epr._program, epr._record)
+        for cached in caches:
+            cached.cache_clear()
         try:
             report = run_full_report()
         finally:
-            matrices._symbol_matrix.cache_clear()
-            epr._program.cache_clear()
-            epr._record.cache_clear()
+            for cached in caches:
+                cached.cache_clear()
         assert report.overall == "fail"
         assert report.homomorphism == {"pairs": 256, "oracle_agree": 136}
         assert report.failing_names() == [

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from eprkit import matrices
 from eprkit.element import E, Element, IM
-from eprkit.exprparse import ExprError, parse_expr, to_element
+from eprkit.exprparse import parse_expr, to_element
 from eprkit.matrices import (
     DimensionMismatchError,
     LETTER_MATRICES,
@@ -23,6 +23,7 @@ from eprkit.matrices import (
 )
 from eprkit.pauli import PauliWord, mul_words
 
+import reader_agreement
 from numeric import eigenvalues
 
 E01_MATRIX = Matrix([
@@ -124,6 +125,18 @@ class TestMatrix:
             with pytest.raises(TypeError, match="times_i takes an int power of i"):
                 m.times_i(k)
 
+    @pytest.mark.parametrize("op", [lambda m: m + 1, lambda m: m - 1, lambda m: m * 2,
+                                    lambda m: m * "x"], ids=["add", "sub", "mul", "mul-str"])
+    def test_an_operand_that_is_no_matrix_is_refused(self, op):
+        # Each operator returns NotImplemented, and Python raises TypeError.
+        with pytest.raises(TypeError):
+            op(Matrix.scalar(4))
+
+    def test_a_non_matrix_is_never_equal(self):
+        m = Matrix.scalar(4)
+        assert m.__eq__(1) is NotImplemented
+        assert (m == 1) is False and (1 == m) is False and m != "E00"
+
     def test_trace(self):
         assert Matrix.scalar(4, Fraction(1, 3), 2).trace() == (Fraction(4, 3), 8)
         assert E01_MATRIX.trace() == (0, 0)
@@ -165,6 +178,16 @@ def stores_no_zero(m):
 
 def entries(m):
     return [m.entry(r, c) for r in range(m.dim) for c in range(m.dim)]
+
+
+def times_i_entries(a, k):
+    """The entries of ``a.times_i(k)``, each entry turned by ``i`` (or by ``-i``) ``|k|`` times."""
+    out = []
+    for re, im in entries(a):
+        for _ in range(abs(k)):
+            re, im = (-im, re) if k > 0 else (im, -re)
+        out.append((re, im))
+    return out
 
 
 def product_entries(a, b):
@@ -223,6 +246,12 @@ def test_no_result_stores_a_zero_entry(a, b, k, re, im):
     assert all(map(stores_no_zero, results))
     assert entries(results[1]) == product_entries(a, b)
     assert entries(results[2]) == product_entries(b, a)
+    x, y = entries(a), entries(b)
+    assert entries(results[3]) == [(ar + br, ai + bi) for (ar, ai), (br, bi) in zip(x, y)]
+    assert entries(results[4]) == [(ar - br, ai - bi) for (ar, ai), (br, bi) in zip(x, y)]
+    for j in range(-5, 6):
+        turned = a.times_i(j)
+        assert stores_no_zero(turned) and entries(turned) == times_i_entries(a, j)
     assert results[-2] == a == results[-1]
     # Equality is agreement at every entry, whatever the two denominators.
     values = [entries(m) for m in results]
@@ -249,6 +278,19 @@ def test_equality_compares_values_across_denominators():
     assert one_plus_i == Matrix.scalar(4, 1, 1) != Matrix.scalar(4, 1, 2)
     # A different support over another denominator.
     assert E01_MATRIX * Matrix.scalar(4, Fraction(1, 2)) * Matrix.scalar(4, 2) != Matrix.scalar(4)
+
+
+def test_equality_across_denominators_compares_up_to_the_last_part():
+    # One support over denominators 6 and 1, equal everywhere but the last
+    # row's imaginary part: the comparison runs to its last entry.
+    rows = [[1, 2j, 0, 0], [0, 1 + 1j, 0, 3], [1j, 0, 2, 0], [0, 0, 1, 1 + 1j]]
+    a = Matrix(rows)
+    sixths = a * Matrix.scalar(4, Fraction(1, 6)) * Matrix.scalar(4, 6)
+    b = Matrix(rows[:3] + [[0, 0, 1, 1 + 2j]])
+    assert (sixths._den, b._den) == (6, 1)
+    assert [row.keys() for row in sixths._rows] == [row.keys() for row in b._rows]
+    assert sixths == a and a == sixths
+    assert sixths != b and b != sixths
 
 
 @pytest.mark.parametrize("dim, texts", [(4, ("0*E01", "0")), (2, ("0*e1", "0*e0"))])
@@ -344,30 +386,24 @@ def test_the_oracle_reads_what_the_parser_reads(text, singlet):
     assert expr_matrix(text) == element_matrix(to_element(parse_expr(text), psi=singlet.psi))
 
 
-# The small-scope tokens: a name of each arity, psi, the units, two literals,
-# every operator and both parentheses.
-SMALL_TOKENS = ("E01", "e1", "psi", "i", "I", "2", "1/2", "+", "-", "*", "(", ")")
-
-
 def test_the_two_readers_agree_on_every_short_text(singlet):
     # Every text of one to four tokens: the parser and the tree walk accept
     # exactly the texts the oracle's reader accepts, each with one matrix.
-    accepted = 0
-    for n in range(1, 5):
-        for tokens in itertools.product(SMALL_TOKENS, repeat=n):
-            text = " ".join(tokens)
-            try:
-                exact = element_matrix(to_element(parse_expr(text), psi=singlet.psi))
-            except ExprError:
-                exact = None
-            try:
-                program = matrices.expr_program(text)
-            except ReadError:
-                assert exact is None, text
-                continue
-            assert exact == program(), text
-            accepted += 1
-    assert accepted == 454
+    # CI runs the same enumeration at five tokens as a script.
+    read, accepted, differ = reader_agreement.compare(4, singlet.psi)
+    assert differ == []
+    assert (read, accepted) == (22620, 454)
+
+
+def test_the_agreement_script_exits_1_on_a_disagreement(monkeypatch, capsys):
+    assert reader_agreement.main(["--tokens", "1"]) == 0
+    negated = matrices.expr_program
+    monkeypatch.setattr(reader_agreement, "expr_program", lambda text: lambda: -negated(text)())
+    assert reader_agreement.main(["--tokens", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # negated, each of the 7 one-token texts both readers accept disagrees
+    assert out[-1] == "texts: 12, accepted: 0, disagreements: 7"
+    assert out[1:-1] == [f"readers disagree: {t!r}" for t in ("E01", "e1", "psi", "i", "I", "2", "1/2")]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -401,3 +437,54 @@ def test_the_oracle_refuses_what_the_grammar_does_not_read(text, message):
     with pytest.raises(ReadError) as info:
         expr_matrix(text)
     assert str(info.value).startswith(message)
+
+
+# Deep shapes of n tokens' worth of nesting or length, with the depth and the
+# operand count the reader's bounds see, and each accepted text's matrix.
+DEEP_SHAPES = {
+    "chain": (lambda n: "*".join(["E01"] * n), lambda n: (0, n),
+              lambda n: E01_MATRIX if n % 2 else Matrix.scalar(4)),
+    "sum": (lambda n: "+".join(["E01"] * n), lambda n: (0, n),
+            lambda n: Matrix.scalar(4, n) * E01_MATRIX),
+    "parentheses": (lambda n: "(" * n + "E01" + ")" * n, lambda n: (n, 1), lambda n: E01_MATRIX),
+    "signs": (lambda n: "-" * n + "E01", lambda n: (n, 1), lambda n: E01_MATRIX.times_i(2 * n)),
+    "signed parentheses": (lambda n: "-(" * n + "E01" + ")" * n, lambda n: (2 * n, 1),
+                           lambda n: E01_MATRIX.times_i(2 * n)),
+}
+
+
+@pytest.mark.parametrize("n", [10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5, 50, 51, 1000, 1001])
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_the_oracle_reads_or_refuses_any_depth(shape, n):
+    # The reader's bounds decide before Python's compiler sees the text, so a
+    # text of any depth or length gives a program or a ReadError.
+    build, measure, value = DEEP_SHAPES[shape]
+    depth, operands = measure(n)
+    if depth > matrices.MAX_NESTING:
+        with pytest.raises(ReadError, match="^parentheses and unary minus signs nested deeper than 100$"):
+            matrices.expr_program(build(n))
+    elif operands > matrices.MAX_OPERANDS:
+        with pytest.raises(ReadError, match="^more than 1000 operands$"):
+            matrices.expr_program(build(n))
+    else:
+        assert matrices.expr_program(build(n))() == value(n)
+
+
+def test_the_bounds_are_the_documented_ones():
+    assert (matrices.MAX_NESTING, matrices.MAX_OPERANDS) == (100, 1000)
+    # Signs before an operand close at it; those before a '(' at its ')'.
+    assert expr_matrix("-" * 100 + "E01*" + "-" * 100 + "E01") == Matrix.scalar(4)
+    assert expr_matrix("-" * 50 + "(" * 50 + "E01" + ")" * 50 + "-" * 99 + "E01") == Matrix.scalar(4, 0)
+    # An unmatched ')' lowers no depth, so what comes after it is bounded too.
+    for text in ["-" * 50 + "(" * 50 + "-E01" + ")" * 50, "(" * 99 + "--E01" + ")" * 99,
+                 "E01)+" + "(" * 101 + "E01" + ")" * 101]:
+        with pytest.raises(ReadError, match="nested deeper than 100"):
+            matrices.expr_program(text)
+    with pytest.raises(ReadError, match="^parentheses: unmatched '\\)'$"):
+        matrices.expr_program("E01)+" + "(" * 100 + "E01" + ")" * 100)
+
+
+@pytest.mark.parametrize("value", [b"E01", None, 1, ["E01"]])
+def test_the_oracle_reads_only_text(value):
+    with pytest.raises(TypeError, match="the oracle reads text"):
+        matrices.expr_program(value)
