@@ -20,7 +20,7 @@ assumption the paper disputes.  Only ``trace_normalized(-psi) = 1/4`` is
 outside the grammar and checked by hand.  The rows are constant, so each
 row is read once per process into one record (:func:`_record`): its parsed
 sides, the two trees that decide it, the oracle's two programs (each text
-compiled once, :data:`_program`) and a battery row's closure twin.  A
+read once, :data:`_program`) and a battery row's closure twin.  A
 record holds syntax only, never a value: each report evaluates the trees
 against its own psi and runs the programs afresh.
 
@@ -265,7 +265,7 @@ class _Record(NamedTuple):
 
 @cache
 def _record(row: Claim) -> _Record:
-    """``row`` read once per process: parsed, rewritten and compiled."""
+    """``row`` read once per process: parsed, rewritten and read by the oracle."""
     sides = parse_expr(row.lhs), parse_expr(row.rhs)
     closure = None
     if row in CLAIMS["battery"]:

@@ -29,12 +29,11 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import gcd, lcm, prod
+from operator import add, mul, neg, sub
 
 __all__ = [
     "DimensionMismatchError",
     "LETTER_MATRICES",
-    "MAX_NESTING",
-    "MAX_OPERANDS",
     "Matrix",
     "ReadError",
     "approx_equal",
@@ -291,129 +290,128 @@ def _symbol_matrix(letters: tuple[int, ...]) -> Matrix:
 _WORD_LETTERS = {prefix + "".join(map(str, letters)): letters
                  for prefix, sites in (("E", 2), ("e", 1))
                  for letters in product(range(4), repeat=sites)}
-# i and I at each dimension a text can have, built once.
-_UNITS = {dim: {"i": Matrix._scalar(dim, 1, 0, 1), "I": Matrix._scalar(dim, 1, 1, 0)}
-          for dim in (2, 4)}
-# One token per match, in ASCII text: an int or int/int literal (groups 1 and 2),
-# a name (3), an operator or a parenthesis (4), or any other character that is
-# not whitespace (5).
+# One token per match: an int or int/int literal (groups 1 and 2), an ASCII
+# name (3), an operator or a parenthesis (4), or any other character that is
+# not whitespace (5), a full-width or accented letter included.
 _TOKEN = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?|([A-Za-z0-9]+)|([-+*()])|(\S)")
-# The reader's bounds, far inside what Python's parser and compiler read at
-# the default recursion limit: parentheses and unary minus signs nested in one
-# another, and operands in one text.
-MAX_NESTING = 100
-MAX_OPERANDS = 1000
 # The grammar's token sequences, one character per token and "a" for an
 # operand: operands and binary operators alternate, a '(' or a unary '-' may
-# come before an operand and a ')' after one.  The token pass pairs the
-# parentheses, so Python's compiler meets only texts it reads.
+# come before an operand and a ')' after one.
 _SHAPE = re.compile(r"[(-]*a\)*(?:[-+*][(-]*a\)*)*")
+# How tightly each entry of the shunting-yard's operator stack binds, "~"
+# being unary minus, and the operator each one writes.
+_PRECEDENCE = {"(": 0, "+": 1, "-": 1, "*": 2, "~": 3}
+_OPERATORS = {"+": add, "-": sub, "*": mul, "~": neg}
 
 
 def expr_program(text: str) -> Callable[[], Matrix]:
-    """``text`` read and compiled once: each call evaluates it to its matrix.
+    """``text`` read once: each call evaluates it to its matrix.
 
     The oracle's own reader of the grammar of :mod:`eprkit.exprparse`,
     sharing no code or table with that parser.  A word name is the
     Kronecker product of its letters' matrices, ``psi`` this module's own
     product of them, :data:`_PSI`, and ``i``, ``I`` and each ``n`` or
     ``n/d`` literal that multiple of the identity at the text's arity: one
-    site if it names an ``e`` word, else two.
-    Each name and literal is bound to its matrix when the text is read, and
-    the text is compiled to bytecode in which every ``+``, ``-`` and ``*``
-    is a :class:`Matrix` operator; Python gives them the grammar's
-    precedence and associativity, unary minus included.
+    site if it names an ``e`` word, else two.  Each is bound to its matrix
+    when the text is read, and E. W. Dijkstra's shunting-yard ("Algol 60
+    translation", 1961) writes the text as a postfix program, which
+    :func:`_run` runs on a value stack; neither recurses.
 
-    Anything outside the grammar raises :class:`ReadError`: a name outside
-    the table, ``/`` outside an int/int literal, a zero denominator, any
-    other character, operands and operators out of turn (which Python would
-    read as a call, a tuple or a unary ``+``), unpaired parentheses,
-    single-site and two-site names in one text, and non-ASCII text (Python
-    would normalize ``Ｅ０１`` to ``E01``).  The reader also bounds the
-    text in the same token pass, so that ``compile`` never meets a text
-    nested deeper than it reads: more than :data:`MAX_NESTING`
-    parentheses and unary minus signs nested in one another, or more than
-    :data:`MAX_OPERANDS` operands, raise :class:`ReadError`.  Within them
-    every text compiles at the default recursion limit on Python 3.11
-    when the caller is under about 650 frames deep.
+    Anything outside the grammar raises :class:`ReadError`, first in the
+    token pass (an unknown name, ``/`` outside an int/int literal, a zero
+    denominator, any other character), then: operands and operators out of
+    turn, both arities in one text, unpaired parentheses.
     """
     if not isinstance(text, str):
         raise TypeError(f"the oracle reads text, got {type(text).__name__}")
-    if not text.isascii():
-        raise ReadError(f"non-ASCII character {next(c for c in text if not c.isascii())!r}")
-    names: dict = {"__builtins__": {}}
-    literals: dict[tuple[int, int], str] = {}
-    source, shape, arities = [], [], set()
-    # The depth counts the open parentheses and the unary minus signs over the
-    # coming operand, as Python nests them: the signs before an operand close
-    # at it, those before a '(' at its ')'.
-    depth = signs = operands = 0
-    outer_signs: list[int] = []  # per open '(', the signs before it
-    after_operand = unmatched = False
+    # Each token as read: an operator, a bound matrix, or a scalar operand's
+    # (den, re, im) until the text's arity is known.
+    tokens, arities = [], set()
     for num, den, name, op, other in _TOKEN.findall(text):
         if op:
-            source.append(op)
-            shape.append(op)
-            if op == ")":
-                if outer_signs:
-                    depth -= 1 + outer_signs.pop()
-                else:
-                    unmatched = True
-                after_operand = True
-                continue
-            if op == "(" or op == "-" and not after_operand:  # not a binary operator
-                if op == "(":
-                    outer_signs.append(signs)
-                    signs = 0
-                else:
-                    signs += 1
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise ReadError("parentheses and unary minus signs nested deeper "
-                                    f"than {MAX_NESTING}")
-            after_operand = False
+            tokens.append(op)
             continue
         if other:
             raise ReadError("'/' outside an int/int literal" if other == "/"
                             else f"unexpected character {other!r}")
-        operands += 1
-        if operands > MAX_OPERANDS:
-            raise ReadError(f"more than {MAX_OPERANDS} operands")
-        depth -= signs
-        signs = 0
-        after_operand = True
-        shape.append("a")
         if name:
             letters = _WORD_LETTERS.get(name)
             if letters is not None:
                 arities.add(len(letters))
-                names[name] = _symbol_matrix(letters)
+                tokens.append(_symbol_matrix(letters))
             elif name == "psi":
                 arities.add(2)
-                names[name] = _PSI
-            elif name != "i" and name != "I":
+                tokens.append(_PSI)
+            elif name == "i" or name == "I":
+                tokens.append((1, 0, 1) if name == "i" else (1, 1, 0))
+            else:
                 raise ReadError(f"unknown name {name!r}")
-            source.append(name)
             continue
         try:
-            value = int(num), int(den or 1)
+            n, d = int(num), int(den or 1)
         except ValueError:  # more digits than the interpreter converts
             raise ReadError("numeric literal too long") from None
-        if not value[1]:
+        if not d:
             raise ReadError("zero denominator")
-        source.append(literals.setdefault(value, f"_{len(literals)}"))
-    if not _SHAPE.fullmatch("".join(shape)):
+        tokens.append((d, n, 0))
+    if not _SHAPE.fullmatch("".join(t if type(t) is str else "a" for t in tokens)):
         raise ReadError("operands and operators out of turn")
     if len(arities) > 1:
         raise ReadError("single-site and two-site names mixed in one expression")
-    if unmatched or outer_signs:  # as Python's tokenizer says it
-        raise ReadError("parentheses: unmatched ')'" if unmatched
-                        else "parentheses: '(' was never closed")
     dim = 2 ** arities.pop() if arities else 4
-    names.update(_UNITS[dim])
-    for (n, d), key in literals.items():
-        names[key] = Matrix._scalar(dim, d, n, 0)
-    return partial(eval, compile(" ".join(source), "<expr>", "eval"), names)
+    # The shunting-yard: an operand goes to the program as it comes; an
+    # operator waits until a binary operator binding no tighter arrives, or
+    # its ')' or the end of the text, so '+', '-' and '*' associate left.
+    steps, pending = [], []
+    after_operand = False
+    for token in tokens:
+        if type(token) is not str:
+            steps.append((None, token if type(token) is Matrix else Matrix._scalar(dim, *token)))
+            after_operand = True
+        elif token == ")":
+            while pending and pending[-1] != "(":
+                _write(steps, pending.pop())
+            if not pending:
+                raise ReadError("parentheses: unmatched ')'")
+            pending.pop()
+        elif after_operand:
+            while pending and _PRECEDENCE[pending[-1]] >= _PRECEDENCE[token]:
+                _write(steps, pending.pop())
+            pending.append(token)
+            after_operand = False
+        else:  # a '(' or a unary minus
+            pending.append("~" if token == "-" else token)
+    while pending:
+        if pending[-1] == "(":
+            raise ReadError("parentheses: '(' was never closed")
+        _write(steps, pending.pop())
+    return partial(_run, steps)
+
+
+def _write(steps: list[tuple], op: str) -> None:
+    """Append operator ``op`` to a program, fused with an operand pushed just before it."""
+    if op != "~" and steps[-1][0] is None:
+        steps[-1] = (_OPERATORS[op], steps[-1][1])
+    else:
+        steps.append((_OPERATORS[op], None))
+
+
+def _run(steps: list[tuple]) -> Matrix:
+    """A program's value, the top of its stack held apart: ``(None, m)`` pushes
+    ``m``, ``(f, m)`` applies ``f`` to the top and ``m``, ``(f, None)`` to the
+    top two (``neg`` to the top)."""
+    stack, top = [], None
+    for f, m in steps:
+        if f is None:
+            stack.append(top)
+            top = m
+        elif m is not None:
+            top = f(top, m)
+        elif f is neg:
+            top = neg(top)
+        else:
+            top = f(stack.pop(), top)
+    return top
 
 
 def approx_equal(a: Matrix, b: Matrix) -> bool:

@@ -412,8 +412,8 @@ class TestEvaluation:
 
     def test_an_800_factor_chain_evaluates_at_the_default_recursion_limit(self):
         # The tree walk takes one frame per factor, so 800 factors fit under
-        # the default limit of 1000 with the test runner's frames on top, and
-        # the oracle's compiler reads the chain as one text.
+        # the default limit of 1000 with the test runner's frames on top; the
+        # oracle reads and runs the chain without recursion.
         assert sys.getrecursionlimit() == 1000
         text = "*".join(["E01", "E02", "E03"][k % 3] for k in range(800))
         # 266 times E01*E02*E03 = i, which is -1, then E01*E02 = i*E03.
