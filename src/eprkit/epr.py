@@ -297,19 +297,24 @@ def _trace_check(psi: Element) -> IdentityCheck:
 
 # --- the closure re-derivation: rewriting with the constraints ------------------
 
+# The axis words E00, E10, E20, E30 as elements, built once: elements are
+# immutable, so every rewrite shares them, as exprparse._WORDS is shared.
+_AXES = tuple(E(a, 0) for a in range(4))
+
+
 def _constraint_remainder(el: Element) -> Element:
     """A two-site element modulo the left ideal of the singlet constraints.
 
     ``Eab = Ea0*E0b`` and ``X*E0b = -X*Eb0`` modulo the ideal, so for b != 0
     ``Eab`` reduces to the element product ``-Ea0*Eb0``, whose letters
-    :mod:`eprkit.pauli` composes.  What is left is a combination of E00,
-    E10, E20, E30, zero exactly on the ideal.  ``Ekk + 1 = Ek0*(E0k + Ek0)``
-    needs no rule of its own.
+    :mod:`eprkit.pauli` composes.  The four ``Ea0`` are read from
+    :data:`_AXES`, and the product is taken afresh for every term.  What is
+    left is a combination of E00, E10, E20, E30, zero exactly on the ideal.
+    ``Ekk + 1 = Ek0*(E0k + Ek0)`` needs no rule of its own.
     """
     rest = Element.zero(2)
-    for w, c in el.terms.items():
-        a, b = w
-        rest += (-E(a, 0) * E(b, 0) if b else E(a, 0)) * c
+    for (a, b), c in el.terms.items():
+        rest += (-_AXES[a] * _AXES[b] if b else _AXES[a]) * c
     return rest
 
 
@@ -568,7 +573,9 @@ def _json(value, indent: str = "\n") -> str:
 
     Only the types a report holds are written: dicts with str keys, lists,
     str, int and bool, and an :class:`IdentityCheck` as the dict of its
-    fields; any other type raises TypeError.
+    fields; any other type raises TypeError.  A check's five text fields go
+    straight to the string encoder, which refuses any other type; its count
+    and verdict take the branches above.
     """
     t = type(value)
     if t is str:
@@ -578,7 +585,11 @@ def _json(value, indent: str = "\n") -> str:
     if t is int:
         return int.__repr__(value)
     if t is IdentityCheck:
-        return _check_template(indent) % tuple(map(_json, value))
+        name, ref, kind, expected, status, terms, ok = value
+        return _check_template(indent) % (
+            encode_basestring_ascii(name), encode_basestring_ascii(ref),
+            encode_basestring_ascii(kind), encode_basestring_ascii(expected),
+            encode_basestring_ascii(status), _json(terms), _json(ok))
     inner = indent + "  "
     if t is list:
         items, ends = [_json(v, inner) for v in value], "[]"

@@ -3,9 +3,12 @@
 A basic triple is three distinct nontrivial words that pairwise anticommute
 and whose product is +/-i times the identity; equivalently, for some cyclic
 ordering (A, B, C) they reproduce the single-letter pattern ``A*B = i*C``.
-The published list of such sets is transcribed verbatim as fixture data and
-the enumeration is diffed against it, so any omission is documented as
-evidence rather than silently corrected.
+The search is exhaustive over pairs: every pair of words is asked whether it
+anticommutes, and each anticommuting pair is completed by the word of its
+product, the only word that can close it.  The published list of such sets
+is transcribed verbatim as fixture data and the enumeration is diffed
+against it, so any omission is documented as evidence rather than silently
+corrected.
 """
 
 from __future__ import annotations
@@ -74,29 +77,33 @@ def nontrivial_words() -> list[PauliWord]:
 
 
 def enumerate_basic_triples() -> list[BasicTriple]:
-    """Scan all unordered triples of nontrivial two-site words.
+    """Complete each anticommuting pair of nontrivial two-site words.
 
     A triple is accepted iff its members pairwise anticommute and their
     product is +/-i times the identity (the sign depends on the ordering, so
     neither is privileged).  :func:`~eprkit.pauli.commute_sign` is asked
-    once per pair of words, 105 times, before the 455 triples are scanned
-    against the anticommuting pairs.  Output order is lexicographic on
-    members, hence identical across runs.
+    once per pair of words, 105 times.  ``mul_words(x, y)`` gives the
+    identity word exactly when ``x == y``, so ``a*b*c`` can be a multiple of
+    the identity only when ``c`` is the word of ``a*b``: each anticommuting
+    pair ``a < b`` is completed by that word, kept when it sorts after ``b``
+    (so each triple is met once, from its two smallest members) and passes
+    the test above.  Output order is lexicographic on members, hence
+    identical across runs.
     """
-    words = nontrivial_words()
-    anti = {pair for pair in itertools.combinations(words, 2) if commute_sign(*pair) == -1}
+    pairs = [pair for pair in itertools.combinations(nontrivial_words(), 2)
+             if commute_sign(*pair) == -1]
+    anti = set(pairs)
     found = []
-    for combo in itertools.combinations(words, 3):
-        a, b, c = combo
-        if (a, b) not in anti or (a, c) not in anti or (b, c) not in anti:
+    for a, b in pairs:
+        k1, c = mul_words(a, b)
+        if c <= b or (a, c) not in anti or (b, c) not in anti:
             continue
-        k1, w1 = mul_words(a, b)
-        k2, w2 = mul_words(w1, c)
+        k2, w2 = mul_words(c, c)
         if not w2.is_identity or (k1 + k2) % 4 not in (1, 3):
             continue
         # a*b = i**k1 * c: the order is (a, b, c) when k1 is 1, else (b, a, c) read from a.
         cyclic = (a, b, c) if k1 == 1 else (a, c, b)
-        found.append(BasicTriple(members=combo, cyclic=cyclic))
+        found.append(BasicTriple(members=(a, b, c), cyclic=cyclic))
     return found
 
 
@@ -121,14 +128,15 @@ class DiffReport(NamedTuple):
 
 def paper_sets_as_words() -> list[tuple[PauliWord, PauliWord, PauliWord]]:
     """The published sets with members sorted, as words."""
-    return [tuple(sorted(PauliWord(p) for p in s)) for s in PAPER_BASIC_SETS]
+    return [tuple(sorted(map(PauliWord, s))) for s in PAPER_BASIC_SETS]
 
 
 def diff_with_paper_list(found: list[BasicTriple]) -> DiffReport:
     """Diff the enumerated triples against the published list, :data:`PAPER_BASIC_SETS`."""
     listed = paper_sets_as_words()  # each set sorted, as a triple's members are
+    listed_sets = set(listed)
     found_sets = {t.members: t for t in found}
-    missing = tuple(t for members, t in sorted(found_sets.items()) if members not in listed)
+    missing = tuple(found_sets[m] for m in sorted(found_sets) if m not in listed_sets)
     extra = tuple(s for s in sorted(listed) if s not in found_sets)
     return DiffReport(found_count=len(found),
                       missing_from_paper=missing,
@@ -136,6 +144,9 @@ def diff_with_paper_list(found: list[BasicTriple]) -> DiffReport:
 
 
 def build_incidence(found: list[BasicTriple]) -> dict[PauliWord, tuple[BasicTriple, ...]]:
-    """Map each nontrivial word to the triples containing it."""
-    return {w: tuple(t for t in found if w in t.members)
-            for w in nontrivial_words()}
+    """Map each nontrivial word to the triples containing it, in the order found."""
+    incidence = {w: [] for w in nontrivial_words()}
+    for t in found:
+        for w in t.members:
+            incidence[w].append(t)
+    return {w: tuple(ts) for w, ts in incidence.items()}

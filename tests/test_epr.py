@@ -395,6 +395,9 @@ class TestFullReport:
         # route, built from the letter matrices alone, refutes every verdict.
         # Earlier tests have filled the product table from the true rule, so
         # the run starts from an empty one, dropped again when the patch goes.
+        # A report runs first: the closure rewrite's axis words, built once,
+        # must still be multiplied afresh under the corrupted rule.
+        run_full_report()
         original = pauli.compose_letters
 
         def corrupted(a, b):
@@ -524,6 +527,13 @@ def test_report_writer_writes_a_check_as_the_dict_of_its_fields():
         assert epr._json(value) == json.dumps(as_dicts, indent=2)
     with pytest.raises(TypeError):
         epr._json(check._replace(residual_terms=1.5))
+    for field in ("name", "paper_ref"):
+        for wrong in (1, None, b"name", ["name"]):
+            with pytest.raises(TypeError):
+                epr._json(check._replace(**{field: wrong}))
+    # The count and the verdict are written by their types, as json.dumps does.
+    for odd in (check._replace(residual_terms=True), check._replace(oracle_ok=1)):
+        assert epr._json(odd) == json.dumps(odd._asdict(), indent=2)
 
 
 def test_report_writer_refuses_what_a_report_does_not_hold():

@@ -145,6 +145,11 @@ class TestMulWords:
         for w in all_words:
             assert mul_words(w, w) == (0, PauliWord.identity(2))
 
+    def test_a_product_is_the_identity_word_only_for_equal_words(self):
+        # The triple scan completes a pair (a, b) by the word of a*b alone.
+        for a, b in itertools.product(WORDS2, repeat=2):
+            assert mul_words(a, b)[1].is_identity == (a == b), (a, b)
+
     def test_cross_site_product_picks_up_phase(self):
         # E13 * E01 = i * E12; the matrix route must agree
         k, w = mul_words(PauliWord((1, 3)), PauliWord((0, 1)))

@@ -57,13 +57,16 @@ def pairwise_brute_force():
     return accepted
 
 
-# Each cyclic letter product with its phase dropped, as the fault tests corrupt e1*e2.
-DROPPED_PHASES = [None, (1, 2), (2, 3), (3, 1)]
+# Each cyclic letter product with its phase dropped, as the fault tests corrupt
+# e1*e2, and the orientation reversed.
+DROPPED_PHASES = [None, (1, 2), (2, 3), (3, 1), "reversed"]
 
 
 @pytest.mark.parametrize("dropped", DROPPED_PHASES)
 def test_the_pair_scan_matches_the_pairwise_brute_force(monkeypatch, dropped):
-    if dropped is not None:
+    if dropped == "reversed":
+        monkeypatch.setattr(pauli, "_CYCLE", {(b, a): c for (a, b), c in pauli._CYCLE.items()})
+    elif dropped is not None:
         original = pauli.compose_letters
 
         def corrupted(a, b):
@@ -112,8 +115,10 @@ def test_the_cyclic_order_comes_from_the_scan_product(monkeypatch):
     monkeypatch.setattr(pauli, "mul_words", counted)
     monkeypatch.setattr(triples, "mul_words", counted)
     found = enumerate_basic_triples()
-    # Two per commute_sign (210), then a*b and (a*b)*c for the 80 anticommuting triples.
-    assert len(calls) == 370
+    # Two per commute_sign (210), then a*b for each of the 60 anticommuting
+    # pairs, and c*c for the 20 pairs whose product word c sorts after both
+    # and anticommutes with each: 210 + 60 + 20.
+    assert len(calls) == 290
     assert [tuple(w.name for w in t.cyclic) for t in found] == CYCLIC_ORDERS
 
 
