@@ -41,7 +41,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
-from .element import E, Element, Scalar
+from .element import E, Element
 from .exprparse import BinOp, Expr, Sym, evaluate, parse_expr, to_element
 from .matrices import Matrix, _symbol_matrix, approx_equal, expr_program
 from .pauli import PauliWord, mul_words
@@ -385,16 +385,12 @@ CONSTRAINT_NAMES = {"opposite_x": CLAIMS["constraints"][0],
                     "opposite_products": CLAIMS["product"][0]}
 
 
-def _literal(value: Scalar, arity: int) -> Scalar:
-    return value  # a number among numbers, whatever its arity
-
-
 @cache
 def _table_words(rows: tuple[Claim, ...]) -> tuple[PauliWord, ...]:
     """The words ``rows`` name, in order of first appearance (syntax only)."""
     first: dict[PauliWord, int] = {}
     for side in itertools.chain.from_iterable(_record(row).sides for row in rows):
-        evaluate(side, _literal, lambda letters: first.setdefault(PauliWord(letters), 1))
+        evaluate(side, lambda letters: first.setdefault(PauliWord(letters), 1))
     return tuple(first)
 
 
@@ -414,7 +410,7 @@ def constraint_flags(table: dict[PauliWord, int]) -> dict[str, bool]:
     flags = {}
     for name, row in CONSTRAINT_NAMES.items():
         lhs, rhs = _record(row).sides
-        flags[name] = evaluate(lhs, _literal, value) == evaluate(rhs, _literal, value)
+        flags[name] = evaluate(lhs, value) == evaluate(rhs, value)
     return flags
 
 

@@ -20,20 +20,21 @@ that starts with neither a letter nor a grammar character is an unexpected
 character.  Tokens carry no offset: an error's offset is found by scanning
 the text again, and only when the error is raised.
 
-The parser decides an expression's arity from the names in it: ``psi`` is
-two-site, a word name has the sites its prefix gives, and any other text
-has :data:`~eprkit.pauli.SCALAR_ARITY`.  It reads them off the text by
-substring before parsing: in a text that parses, a prefix's letter and the
-run ``psi`` occur only inside those names, and the arity of a text that
-does not parse is never read.  Every literal, ``i`` and ``I`` included, is
-built at that arity.  Names of different arities cannot be mixed in one
-expression: :func:`parse_expr` raises :class:`ArityConflictError` once the
+A literal, ``i`` and ``I`` included, is its :class:`Scalar`: a leaf of the
+tree, with no arity of its own.  It takes the arity of the element it meets,
+and a text of literals alone has :data:`~eprkit.pauli.SCALAR_ARITY` sites.
+A name's arity is fixed: ``psi`` is two-site and a word name has the sites
+its prefix gives.  Names of different arities cannot be mixed in one
+expression.  The parser finds them by substring before parsing (in a text
+that parses, a prefix's letter and the run ``psi`` occur only inside those
+names), and :func:`parse_expr` raises :class:`ArityConflictError` once the
 text has parsed, so a syntax error takes precedence.
 
 The word names are the :attr:`PauliWord.name` s of the prefix table
-:data:`~eprkit.pauli.PREFIXES`.  The symbol table :data:`_SYMBOLS` of shared
-:class:`Sym` nodes, each word's element and the arity scan are read from it;
-this module adds only a near miss's two errors per prefix (``E0``, ``E04``).
+:data:`~eprkit.pauli.PREFIXES`.  The factor table :data:`_FACTORS` of shared
+:class:`Sym` nodes and unit scalars, each word's element and the arity scan
+are read from it; this module adds only a near miss's two errors per prefix
+(``E0``, ``E04``).
 The tree walk refuses any name or operator the parser cannot read, so a
 hand-built tree outside the grammar never evaluates.  The matrix oracle
 reads claim text with a reader of its own (:mod:`eprkit.matrices`), so
@@ -54,7 +55,6 @@ __all__ = [
     "BinOp",
     "ExprError",
     "ExprSyntaxError",
-    "Lit",
     "Neg",
     "RangeError",
     "Sym",
@@ -86,11 +86,6 @@ class ArityConflictError(ExprError):
     """Single-site and two-site symbols mixed in one expression."""
 
 
-class Lit(NamedTuple):
-    value: Scalar
-    arity: int
-
-
 class Sym(NamedTuple):
     name: str
 
@@ -105,7 +100,7 @@ class BinOp(NamedTuple):
     right: "Expr"
 
 
-Expr = Union[Lit, Sym, Neg, BinOp]
+Expr = Union[Scalar, Sym, Neg, BinOp]
 T = TypeVar("T")
 
 
@@ -153,12 +148,10 @@ _NAME_ERRORS = {
 # Each word name's letters, for every arity the name table holds.
 _LETTERS = {PauliWord(letters).name: letters
             for sites in PREFIXES.values() for letters in product(range(4), repeat=sites)}
-# The symbol table: one shared node per fixed name of the grammar.
-_SYMBOLS = {name: Sym(name) for name in (*_LETTERS, "psi")}
-# Per arity, the node of every name a factor can be: the symbols, and i and I
-# as literals at that arity.  Nodes are immutable, so sharing them is safe.
-_FACTORS = {arity: {**_SYMBOLS, "i": Lit(IM, arity), "I": Lit(ONE, arity)}
-            for arity in {*PREFIXES.values(), SCALAR_ARITY}}
+# The node of every name a factor can be: one shared symbol per fixed name of
+# the grammar, and i and I as their scalars.  Nodes are immutable, so sharing
+# them is safe.
+_FACTORS = {name: Sym(name) for name in (*_LETTERS, "psi")} | {"i": IM, "I": ONE}
 # Each word's element, keyed by its letters: every occurrence of a symbol
 # shares it, and elements are immutable, so sharing is safe.
 _WORDS = {letters: Element.from_word(PauliWord(letters)) for letters in _LETTERS.values()}
@@ -172,13 +165,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         # In a text that parses, a prefix's letter or "psi" occurs only inside
-        # that name; a text that does not parse never has its arity read.
+        # that name; a text that does not parse never has mixed read.
         arities = {sites for prefix, sites in PREFIXES.items() if prefix in text}
         if "psi" in text:
             arities.add(2)  # psi is a two-site element
         self.mixed = len(arities) > 1
-        self.arity = arities.pop() if len(arities) == 1 else SCALAR_ARITY
-        self.factors = _FACTORS[self.arity]
 
     def error(self, message: str, index: int) -> ExprSyntaxError:
         return ExprSyntaxError(message, _offset(self.text, index))
@@ -203,15 +194,15 @@ class _Parser:
     def term(self) -> Expr:
         # A name's node comes straight from the factor table; only the other
         # factors take a factor() call.
-        tokens, factors = self.tokens, self.factors
-        node = factors.get(tokens[self.pos])
+        tokens = self.tokens
+        node = _FACTORS.get(tokens[self.pos])
         if node is None:
             node = self.factor()
         else:
             self.pos += 1
         while tokens[self.pos] == "*":
             self.pos += 1
-            right = factors.get(tokens[self.pos])
+            right = _FACTORS.get(tokens[self.pos])
             if right is None:
                 right = self.factor()
             else:
@@ -222,7 +213,7 @@ class _Parser:
     def factor(self) -> Expr:
         pos = self.pos
         token = self.tokens[pos]
-        node = self.factors.get(token)
+        node = _FACTORS.get(token)
         if node is not None:
             self.pos += 1
             return node
@@ -245,7 +236,7 @@ class _Parser:
                 denominator = self.integer(pos + 2)
                 if denominator == 0:
                     raise self.error("zero denominator", pos + 2)
-            return Lit(_scalar(denominator, value, 0), self.arity)
+            return _scalar(denominator, value, 0)
         if token[:1].isalpha():
             raise self.name_error(pos)
         raise self.error(f"unexpected {token or 'end of input'!r}", pos)
@@ -288,22 +279,22 @@ def parse_expr(text: str) -> Expr:
 
 # --- evaluation ---------------------------------------------------------------
 
-def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
-             word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
+def evaluate(node: Expr, word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
     """Fold a tree bottom-up in any algebra, one frame per tree level.
 
-    ``scalar`` gives a literal its value from the literal's value and arity,
-    ``word`` gives a symbol's letters theirs, and ``psi`` is the value of the
-    ``psi`` symbol.  Negation, ``+``, ``-`` and ``*`` are the values' own
-    operators.  A symbol's letters are read from the grammar's table, so
-    ``word`` receives the same tuple for each name and may cache on it.  A
-    name or an operator the grammar does not have raises
+    A literal's value is its own :class:`Scalar`, ``word`` gives a symbol's
+    letters theirs, and ``psi`` is the value of the ``psi`` symbol.
+    Negation, ``+``, ``-`` and ``*`` are the values' own operators, so a
+    value must take a scalar operand.  A symbol's letters are read from the
+    grammar's table, so ``word`` receives the same tuple for each name and
+    may cache on it.
+    A name or an operator the grammar does not have raises
     :class:`ExprSyntaxError`: only a hand-built tree holds one.
     """
     kind = type(node)  # exact node types only: a plain tuple is no node
     if kind is BinOp:
-        left = evaluate(node.left, scalar, word, psi)
-        right = evaluate(node.right, scalar, word, psi)
+        left = evaluate(node.left, word, psi)
+        right = evaluate(node.right, word, psi)
         op = node.op
         if op == "*":
             return left * right
@@ -312,8 +303,8 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
         if op == "-":
             return left - right
         raise ExprSyntaxError(f"unknown operator {op!r}")
-    if kind is Lit:
-        return scalar(node.value, node.arity)
+    if kind is Scalar:
+        return node
     if kind is Sym:
         letters = _LETTERS.get(node.name)
         if letters is not None:
@@ -324,33 +315,23 @@ def evaluate(node: Expr, scalar: Callable[[Scalar, int], T],
             raise ExprError("psi is not available in this context")
         return psi
     if kind is Neg:
-        return -evaluate(node.arg, scalar, word, psi)
+        return -evaluate(node.arg, word, psi)
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def to_element(node: Expr, psi: Element | None = None) -> Element:
-    """Evaluate a tree to a canonical element, each literal at the arity it carries.
+    """Evaluate a tree to a canonical element in one walk.
 
     A literal is its :class:`Scalar`, so a subtree of literals alone, such as
     the coefficient ``(-3/10+5/7*i)``, folds to one scalar by scalar
-    arithmetic, and a product scales the word's numerators by it.  The
-    literals' arities are collected on the way and must all be the
-    element's; a tree of literals alone is the scalar element at theirs.
+    arithmetic, and a product scales the word's numerators by it: a literal
+    takes the arity of the element it meets.  A tree of literals alone is
+    the scalar element at :data:`~eprkit.pauli.SCALAR_ARITY`.
 
     ``psi`` supplies the value of the ``psi`` symbol.  Every occurrence of a
     word symbol shares its element in :data:`_WORDS`, built at import.
     """
-    arities: set[int] = set()
-
-    def literal(value: Scalar, arity: int) -> Scalar:
-        arities.add(arity)
-        return value
-
-    value = evaluate(node, literal, _WORDS.__getitem__, psi)
+    value = evaluate(node, _WORDS.__getitem__, psi)
     if type(value) is not Element:  # a tree of literals alone
-        value = Element.scalar(value, next(iter(arities)))
-    if arities - {value.arity}:
-        # Only a hand-built tree mixes arities.  Element arithmetic raises the
-        # ArityMismatchError at the first operation that mixes them.
-        evaluate(node, Element.scalar, _WORDS.__getitem__, psi)
+        return Element.scalar(value, SCALAR_ARITY)
     return value

@@ -14,7 +14,6 @@ from eprkit.exprparse import (
     BinOp,
     ExprError,
     ExprSyntaxError,
-    Lit,
     Neg,
     RangeError,
     Sym,
@@ -53,11 +52,13 @@ def typed(node):
     """A tree as nested tuples that name each node's type before its fields.
 
     Tree nodes are tuples, so ``Sym("E01") == Neg("E01")``; comparing typed
-    trees tells the node types apart as well.
+    trees tells the node types apart as well.  A leaf is named by its type
+    too, so a literal's :class:`Scalar` does not equal an int or a Fraction
+    of the same value.
     """
-    if isinstance(node, (Lit, Sym, Neg, BinOp)):
+    if isinstance(node, (Sym, Neg, BinOp)):
         return (type(node).__name__, *map(typed, node))
-    return node
+    return (type(node).__name__, node)
 
 
 class TestParsing:
@@ -79,28 +80,31 @@ class TestParsing:
             "-", BinOp("-", Sym("E01"), Sym("E02")), Sym("E03")))
 
     def test_fraction_literal(self):
-        assert typed(parse_expr("3/4")) == typed(Lit(Scalar(Fraction(3, 4)), 2))
+        assert typed(parse_expr("3/4")) == typed(Scalar(Fraction(3, 4)))
 
     def test_imaginary_unit(self):
-        assert typed(parse_expr("i")) == typed(Lit(Scalar(0, 1), 2))
+        assert typed(parse_expr("i")) == typed(Scalar(0, 1))
 
     def test_unary_minus(self):
         assert typed(parse_expr("-E01")) == typed(Neg(Sym("E01")))
-        assert typed(parse_expr("--2")) == typed(Neg(Neg(Lit(Scalar(2), 2))))
+        assert typed(parse_expr("--2")) == typed(Neg(Neg(Scalar(2))))
 
-    def test_literals_carry_the_arity_of_the_text(self):
-        assert typed(parse_expr("I")) == typed(Lit(ONE, 2))
+    def test_a_literal_is_its_scalar_at_any_arity(self):
+        # The same leaf beside a name of either arity, and i and I shared.
+        assert parse_expr("I") is ONE and parse_expr("i") is IM
         assert typed(parse_expr("2*e1 + I")) == typed(BinOp(
-            "+", BinOp("*", Lit(Scalar(2), 1), Sym("e1")), Lit(ONE, 1)))
-        assert typed(parse_expr("(i - psi)")) == typed(BinOp("-", Lit(IM, 2), Sym("psi")))
-        assert typed(parse_expr("e1*2")) == typed(BinOp("*", Sym("e1"), Lit(Scalar(2), 1)))
-        assert typed(parse_expr("2*i")) == typed(BinOp("*", Lit(Scalar(2), 2), Lit(IM, 2)))
+            "+", BinOp("*", Scalar(2), Sym("e1")), ONE))
+        assert typed(parse_expr("2*E01 + I")) == typed(BinOp(
+            "+", BinOp("*", Scalar(2), Sym("E01")), ONE))
+        assert typed(parse_expr("(i - psi)")) == typed(BinOp("-", IM, Sym("psi")))
+        assert typed(parse_expr("e1*2")) == typed(BinOp("*", Sym("e1"), Scalar(2)))
+        assert typed(parse_expr("2*i")) == typed(BinOp("*", Scalar(2), IM))
 
     def test_parsed_nodes_are_the_named_tuple_types(self):
         tree = parse_expr("-E01*E02 - 3")
-        built = BinOp("-", BinOp("*", Neg(Sym("E01")), Sym("E02")), Lit(Scalar(3), 2))
+        built = BinOp("-", BinOp("*", Neg(Sym("E01")), Sym("E02")), Scalar(3))
         assert type(tree) is BinOp and type(tree.left) is BinOp
-        assert type(tree.left.left) is Neg and type(tree.right) is Lit
+        assert type(tree.left.left) is Neg and type(tree.right) is Scalar
         assert (tree.op, tree.left.op, tree.left.left.arg) == ("-", "*", Sym("E01"))
         assert tree == built and hash(tree) == hash(built)
         assert typed(tree) == typed(built)
@@ -121,7 +125,8 @@ class TestParsing:
     def test_the_name_table_has_twenty_words_and_a_scalar_arity(self):
         assert len(TABLE_NAMES) == 20
         assert SCALAR_ARITY in PREFIXES.values()
-        assert typed(parse_expr("1")) == typed(Lit(ONE, SCALAR_ARITY))
+        assert typed(parse_expr("1")) == typed(ONE)
+        assert to_element(parse_expr("1")) == Element.one(SCALAR_ARITY)
         # The parser keeps a near miss's two errors for each prefix, and nothing more.
         assert exprparse._NAME_ERRORS.keys() == PREFIXES.keys()
 
@@ -243,7 +248,7 @@ class TestParseErrors:
         assert [exprparse._offset(text, k) for k in range(len(expected))] == \
             [offset for _, offset in expected]
 
-    # A name the symbol table does not hold is still judged by the grammar:
+    # A name the factor table does not hold is still judged by the grammar:
     # the same class, message and offset as before the table existed.
     @pytest.mark.parametrize("text, error, offset, message", [
         ("E04", RangeError, 0, "two-site digits must be 0..3, got 'E04'"),
@@ -341,23 +346,29 @@ class TestArity:
             parse_expr("e1*E01 + )")
         assert info.value.offset == 9
 
-    # A literal folds to a scalar before it meets a word, so to_element checks
-    # the arity a hand-built tree gives each literal.
-    @pytest.mark.parametrize("tree, message", [
-        (BinOp("*", Lit(Scalar(2), 1), Sym("E01")), "arities differ: 1 vs 2"),
-        (BinOp("*", Sym("E01"), Lit(Scalar(2), 1)), "arities differ: 2 vs 1"),
-        (BinOp("+", Lit(ONE, 2), BinOp("*", Lit(IM, 2), Lit(ONE, 1))), "arities differ: 2 vs 1"),
-        (BinOp("-", Neg(Lit(ONE, 1)), Lit(IM, 2)), "arities differ: 1 vs 2"),
-    ])
-    def test_a_literal_of_another_arity_is_refused(self, tree, message):
-        with pytest.raises(ArityMismatchError) as info:
-            to_element(tree)
-        assert str(info.value) == message
+    # A literal has no arity of its own: it is its Scalar, and takes the
+    # arity of the element it meets.
+    @pytest.mark.parametrize("name, word", [("e1", e(1)), ("E01", E(0, 1))])
+    def test_a_hand_built_literal_takes_the_arity_it_meets(self, name, word):
+        assert to_element(BinOp("*", Scalar(2), Sym(name))) == 2 * word
+        assert to_element(BinOp("+", Sym(name), Neg(IM))) == word - IM
 
-    def test_a_literal_alone_keeps_its_arity(self):
-        assert to_element(Lit(ONE, 1)) == Element.one(1)
-        assert to_element(BinOp("*", Lit(IM, 1), Neg(Lit(Scalar(3), 1)))) == \
-            Element.scalar(Scalar(0, -3), 1)
+    def test_a_tree_of_literals_alone_is_the_scalar_element_at_the_scalar_arity(self):
+        assert to_element(ONE) == Element.one(SCALAR_ARITY)
+        assert to_element(BinOp("*", IM, Neg(Scalar(3)))) == \
+            Element.scalar(Scalar(0, -3), SCALAR_ARITY)
+
+    def test_words_of_two_arities_built_by_hand_are_refused(self):
+        # The parser refuses the text; a hand-built tree meets the element's check.
+        with pytest.raises(ArityMismatchError, match="^arities differ: 1 vs 2$"):
+            to_element(BinOp("*", Sym("e1"), Sym("E01")))
+
+    @pytest.mark.parametrize("leaf", [2, Fraction(1, 2)])
+    def test_a_number_that_is_not_a_scalar_is_no_node(self, leaf):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            to_element(BinOp("*", leaf, Sym("E01")))
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            to_element(leaf)
 
 
 class TestEvaluation:

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eprkit.cli import main
-from eprkit.exprparse import BinOp, ExprError, Lit, Neg, Sym, _Parser, parse_expr, to_element
+from eprkit.element import Scalar
+from eprkit.exprparse import BinOp, ExprError, Neg, Sym, _Parser, parse_expr, to_element
 from eprkit.matrices import ReadError, element_matrix, expr_matrix
 from eprkit.singlet import build_singlet
 
@@ -138,5 +139,7 @@ def test_the_arity_scan_matches_the_names_the_text_parses_to(text):
         return
     arities = {1 if n.name[0] == "e" else 2 for n in nodes(tree) if type(n) is Sym}
     assert parser.mixed == (len(arities) > 1)
-    assert parser.arity == (1 if arities == {1} else 2)
-    assert {n.arity for n in nodes(tree) if type(n) is Lit} <= {parser.arity}
+    # Every other leaf is a literal's Scalar, which takes the arity it meets.
+    assert all(type(n) is Scalar for n in nodes(tree) if type(n) not in (Sym, Neg, BinOp))
+    if not parser.mixed:
+        assert to_element(tree, psi=PSI).arity == (1 if arities == {1} else 2)

@@ -419,9 +419,19 @@ def test_the_two_readers_agree_on_every_short_text(singlet):
     # Every text of one to four tokens: the parser and the tree walk accept
     # exactly the texts the oracle's reader accepts, each with one matrix.
     # CI runs the same enumeration at five tokens as a script.
-    read, accepted, differ = reader_agreement.compare(4, singlet.psi)
+    read, accepted, differ = reader_agreement.compare(
+        reader_agreement.texts(reader_agreement.SMALL_TOKENS, 4, " "), singlet.psi)
     assert differ == []
     assert (read, accepted) == (22620, 454)
+
+
+def test_the_two_readers_agree_on_every_short_string_of_characters(singlet):
+    # Every string of one to three characters, so that digits, '/', names and
+    # spaces also meet inside one token.  CI runs it at five characters.
+    read, accepted, differ = reader_agreement.compare(
+        reader_agreement.texts(reader_agreement.SMALL_CHARS, 3), singlet.psi)
+    assert differ == []
+    assert (read, accepted) == (5219, 342)
 
 
 def test_the_agreement_script_exits_1_on_a_disagreement(monkeypatch, capsys):
@@ -495,6 +505,18 @@ def test_the_two_readers_agree_at_depth_100(shape, singlet):
     build, value = DEEP_SHAPES[shape]
     text = build(100)
     assert element_matrix(to_element(parse_expr(text), psi=singlet.psi)) == expr_matrix(text) == value(100)
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_the_exact_route_refuses_each_deep_shape_with_recursion_error(shape, n):
+    # The exact route's column of the depth table: its parser and tree walk
+    # recurse once per level, so each shape this deep ends in RecursionError
+    # and in no other error.  An iterative pipeline (ROADMAP item 2) is to
+    # flip this test, on purpose, to "evaluates to the shape's value".
+    build = DEEP_SHAPES[shape][0]
+    with pytest.raises(RecursionError):
+        to_element(parse_expr(build(n)))
 
 
 def _at_depth(depth, call):
