@@ -61,14 +61,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
-    from .exprparse import parse_expr, to_element
+    from .exprparse import ExprError, parse_expr, to_element
     from .singlet import NotAnInvolutionError, build_singlet
 
     s = build_singlet()
     el = to_element(parse_expr(args.expr), psi=s.psi)
     if el.arity != 2:
-        print("expect needs a two-site expression", file=sys.stderr)
-        return 2
+        raise ExprError("expect needs a two-site expression")
     print(f"mean: {s.expectation(el)}")
     try:
         born = s.outcome_probabilities(el)

@@ -8,21 +8,21 @@ and ``mod-psi`` for equalities that hold only after right-multiplication by
 psi; the fallacy trace exists precisely because conflating the two kinds
 silently turns a true singlet-sector statement into a false strict one.
 Two interpreters decide each row, each reading a mod-psi claim as the
-strict claim ``(lhs)*psi = (rhs)*psi`` for itself: the exact symbolic layer
-(:func:`~eprkit.exprparse.to_element`), on the parsed trees that
-:func:`_strict` alone rewrites, and the exact matrix oracle
-(:func:`~eprkit.matrices.expr_program`, with its own psi), which reads the
-text of that claim with its own reader and shares neither the parser, the
-tree walk nor the arithmetic of the first.  Both decide by literal
-equality.  The constraint rows get a third, realist reading
+strict claim ``(lhs)*psi = (rhs)*psi`` for itself: the exact symbolic layer,
+which evaluates each parsed side (:func:`~eprkit.exprparse.to_element`) and
+takes the residual of the two values in :func:`_residual`, and the exact
+matrix oracle (:func:`~eprkit.matrices.expr_program`, with its own psi),
+which reads the text of that claim with its own reader and shares neither
+the parser, the tree walk nor the arithmetic of the first.  Both decide by
+literal equality.  The constraint rows get a third, realist reading
 (:func:`constraint_flags`): each word a definite +1/-1 value, the
 assumption the paper disputes.  Only ``trace_normalized(-psi) = 1/4`` is
 outside the grammar and checked by hand.  The rows are constant, so each
 row is read once per process into one record (:func:`_record`): its parsed
-sides, the two trees that decide it, the oracle's two programs (each text
-read once, :data:`_program`) and a battery row's closure twin.  A
-record holds syntax only, never a value: each report evaluates the trees
-against its own psi and runs the programs afresh.
+sides, the oracle's two programs (each text read once, :data:`_program`)
+and a battery row's closure twin.  A record holds syntax only, never a
+value: each report evaluates the sides against its own psi and runs the
+programs afresh.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
 difference with the singlet constraints at the right end of its words
@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .element import E, Element
-from .exprparse import BinOp, Expr, Sym, evaluate, parse_expr, to_element
+from .exprparse import Expr, evaluate, parse_expr, to_element
 from .matrices import Matrix, _symbol_matrix, approx_equal, expr_program
 from .pauli import PauliWord, mul_words
 from .singlet import PSI_TEXT, SingletState, build_singlet
@@ -120,33 +120,32 @@ _FALLACY_REF = "realist substitution argument"
 _RESOLUTION_REF = "permutation-aware resolution"
 _DEPENDENCE_REF = "functional dependence of the one-side words"
 
-# (description, legitimate, note, claim), replayed by fallacy_trace.
+# (description, note, claim), replayed by fallacy_trace; a step is
+# legitimate exactly when its claim is expected to be verified.
 _FALLACY_STEPS = (
     ("decompose E12 into one-side words",
-     True, "plain product identity, valid everywhere",
+     "plain product identity, valid everywhere",
      _row("E12 = E10*E02", _FALLACY_REF, name="fallacy: {}")),
     ("decompose E21 into one-side words",
-     True, "plain product identity, valid everywhere",
+     "plain product identity, valid everywhere",
      _row("E21 = E20*E01", _FALLACY_REF, name="fallacy: {}")),
     ("substitute E10 -> -E01 as if strict",
-     False, "E01 + E10 is a nonzero element; the equality only holds against "
-            "psi, so using it inside a strict identity is the illegitimate move",
+     "E01 + E10 is a nonzero element; the equality only holds against "
+     "psi, so using it inside a strict identity is the illegitimate move",
      _row("E10 = -E01", _FALLACY_REF, expected="refuted",
           name="fallacy: {} (strict substitution)")),
     ("substitute E02 -> -E20 as if strict",
-     False, "E02 + E20 is a nonzero element; same illegitimate move on the "
-            "other axis",
+     "E02 + E20 is a nonzero element; same illegitimate move on the other axis",
      _row("E02 = -E20", _FALLACY_REF, expected="refuted",
           name="fallacy: {} (strict substitution)")),
     ("recombine the substituted product",
-     True, "the recombination itself is sound: the signs cancel and E01*E20 "
-           "really is E21",
+     "the recombination itself is sound: the signs cancel and E01*E20 really is E21",
      _row("E01*E20 = E21", _FALLACY_REF, name="fallacy: {}")),
     ("conclude E12 = E21, read strictly",
-     False, "refuted: distinct words are never strictly equal",
+     "refuted: distinct words are never strictly equal",
      _row("E12 = E21", _FALLACY_REF, expected="refuted", name="fallacy: {} (strict)")),
     ("conclude E12 = E21, read on the singlet sector",
-     False, "refuted there too; the sector enforces the opposite sign",
+     "refuted there too; the sector enforces the opposite sign",
      _row("E12 = E21", _FALLACY_REF, "mod-psi", "refuted",
           name="fallacy: {} (mod psi)")),
 )
@@ -224,16 +223,11 @@ def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck
         "verified" if verified else "refuted", len(residual.terms), oracle_equal == verified))
 
 
-def _strict(row: Claim, lhs: Expr, rhs: Expr) -> tuple[Expr, Expr]:
-    """The two trees whose strict equality decides ``row``, from its parsed sides.
-
-    A mod-psi claim ``lhs = rhs`` becomes ``(lhs)*psi = (rhs)*psi``.
-    """
-    if row.kind == "mod-psi":
-        return BinOp("*", lhs, Sym("psi")), BinOp("*", rhs, Sym("psi"))
-    if row.kind != "strict":
-        raise ValueError(f"unknown check kind {row.kind!r}")
-    return lhs, rhs
+def _residual(kind: str, lhs: Element, rhs: Element, psi: Element | None) -> Element:
+    """The residual of ``lhs = rhs``; a mod-psi claim reads ``(lhs)*psi = (rhs)*psi``."""
+    if kind == "mod-psi":
+        return lhs * psi - rhs * psi
+    return lhs - rhs
 
 
 # The oracle's program of each claim text, read once per process; only the
@@ -245,10 +239,12 @@ def _programs(row: Claim) -> tuple[Callable[[], Matrix], Callable[[], Matrix]]:
     """The oracle's programs for the two sides of ``row``.
 
     The oracle writes its own mod-psi text: ``lhs = rhs`` becomes
-    ``(lhs)*psi = (rhs)*psi``.
+    ``(lhs)*psi = (rhs)*psi``.  A kind other than these two is refused.
     """
     if row.kind == "mod-psi":
         return _program(f"({row.lhs})*psi"), _program(f"({row.rhs})*psi")
+    if row.kind != "strict":
+        raise ValueError(f"unknown check kind {row.kind!r}")
     return _program(row.lhs), _program(row.rhs)
 
 
@@ -256,8 +252,6 @@ class _Record(NamedTuple):
     """A claim row as read once per process: syntax only, never a value."""
 
     sides: tuple[Expr, Expr]        # the parsed lhs and rhs
-    lhs: Expr                       # the two trees whose strict equality decides the row
-    rhs: Expr
     left: Callable[[], Matrix]      # the oracle's programs for the same claim
     right: Callable[[], Matrix]
     closure: Claim | None           # a battery row's closure twin, else None
@@ -265,23 +259,27 @@ class _Record(NamedTuple):
 
 @cache
 def _record(row: Claim) -> _Record:
-    """``row`` read once per process: parsed, rewritten and read by the oracle."""
+    """``row`` read once per process: parsed and read by the oracle."""
     sides = parse_expr(row.lhs), parse_expr(row.rhs)
     closure = None
     if row in CLAIMS["battery"]:
         closure = row._replace(name=f"closure: {row.lhs} = {row.rhs}",
                                paper_ref="re-derivation from the defining constraints")
-    return _Record(sides, *_strict(row, *sides), *_programs(row), closure)
-
-
-def _decide(rec: _Record, psi: Element | None) -> tuple[Element, bool]:
-    """The exact residual of a record's claim and whether the oracle finds it equal."""
-    residual = to_element(rec.lhs, psi) - to_element(rec.rhs, psi)
-    return residual, approx_equal(rec.left(), rec.right())
+    return _Record(sides, *_programs(row), closure)
 
 
 def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
-    return [_outcome(row, *_decide(_record(row), psi)) for row in CLAIMS[stage]]
+    """Each row of ``stage`` decided on its two side values, a closure twin after its row."""
+    checks = []
+    for row in CLAIMS[stage]:
+        rec = _record(row)
+        lhs, rhs = rec.sides
+        lhs, rhs = to_element(lhs, psi), to_element(rhs, psi)
+        oracle_equal = approx_equal(rec.left(), rec.right())
+        checks.append(_outcome(row, _residual(row.kind, lhs, rhs, psi), oracle_equal))
+        if rec.closure is not None:
+            checks.append(_outcome(rec.closure, _constraint_remainder(lhs - rhs), oracle_equal))
+    return checks
 
 
 _TRACE_ROW = Claim("trace_normalized(-psi) = 1/4", "singlet construction", "strict",
@@ -350,17 +348,10 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     the rewrite kills every word * generator product and leaves a rank-4
     remainder of the 16 words, so its kernel is exactly the twelve-dimensional
     left ideal of the constraints, which is the full left annihilator of psi;
-    hence the two routes agree.
+    hence the two routes agree.  Battery sides name no psi, so both checks
+    read the same two side values.
     """
-    checks = []
-    for row in CLAIMS["battery"]:
-        rec = _record(row)
-        residual, oracle_equal = _decide(rec, s.psi)
-        checks.append(_outcome(row, residual, oracle_equal))
-        lhs, rhs = rec.sides
-        diff = to_element(lhs) - to_element(rhs)
-        checks.append(_outcome(rec.closure, _constraint_remainder(diff), oracle_equal))
-    return checks
+    return _run("battery", s.psi)
 
 
 def verify_constraint_family(s: SingletState) -> list[IdentityCheck]:
@@ -479,8 +470,8 @@ _CLASH_WITH = next(row.name for row in CLAIMS["battery"]
 def fallacy_trace(s: SingletState) -> FallacyReport:
     """Replay the slide from sector equalities to the false E12 = E21."""
     checks = _run("fallacy", s.psi)
-    steps = [FallacyStep(description, legitimate, note, check)
-             for (description, legitimate, note, _), check in zip(_FALLACY_STEPS, checks)]
+    steps = [FallacyStep(description, claim.expected == "verified", note, check)
+             for (description, note, claim), check in zip(_FALLACY_STEPS, checks)]
     return FallacyReport(steps=steps, clash_with=_CLASH_WITH)
 
 

@@ -109,9 +109,9 @@ class TestExpect:
         assert "mean: 1" in out
 
     def test_single_site_expression_is_an_error(self, capsys):
-        code, _, err = run_cli(capsys, "expect", "e1")
-        assert code == 2
-        assert "two-site" in err
+        code, out, err = run_cli(capsys, "expect", "e1")
+        assert code == 2 and out == ""
+        assert err == "ExprError: expect needs a two-site expression\n"
 
 
 class TestTriples:

@@ -23,3 +23,12 @@ def test_demo_runs(path, capsys):
         assert out.splitlines()[3:7] == [
             f"  {{'E01': {a}, 'E10': {-a}, 'E02': {b}, 'E20': {-b}}}  opposite products: False"
             for a in (1, -1) for b in (1, -1)]
+        # The seven fallacy steps, flagged from the claim table's verdicts.
+        assert out.splitlines()[9:16] == [
+            "  [ok     ] decompose E12 into one-side words  (verified)",
+            "  [ok     ] decompose E21 into one-side words  (verified)",
+            "  [INVALID] substitute E10 -> -E01 as if strict  (refuted)",
+            "  [INVALID] substitute E02 -> -E20 as if strict  (refuted)",
+            "  [ok     ] recombine the substituted product  (verified)",
+            "  [INVALID] conclude E12 = E21, read strictly  (refuted)",
+            "  [INVALID] conclude E12 = E21, read on the singlet sector  (refuted)"]

@@ -1,9 +1,13 @@
 """The identity suite: constraints, search, fallacy, resolution, report."""
 
+import ast
 import gc
 import itertools
 import json
+import sys
+from collections import Counter, defaultdict
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, strategies as st
@@ -336,17 +340,12 @@ class TestFullReport:
         assert all(checks[name].oracle_ok is False for name in failing)
 
     def test_mod_psi_read_as_strict_fails_every_verified_sector_claim(self, monkeypatch):
-        # Drop the right factor psi from the exact route's rewrite: every
+        # Drop the right factor psi from the exact route's residual: every
         # verified mod-psi claim is then refuted there, and the oracle, which
         # writes its own mod-psi text, disagrees with each.  The closure twins
-        # pass: their borrowed oracle is right.  The rows are read again under
-        # the patch, and again once it goes.
-        monkeypatch.setattr(epr, "_strict", lambda row, lhs, rhs: (lhs, rhs))
-        epr._record.cache_clear()
-        try:
-            report = run_full_report()
-        finally:
-            epr._record.cache_clear()
+        # pass: their borrowed oracle is right.
+        monkeypatch.setattr(epr, "_residual", lambda kind, lhs, rhs, psi: lhs - rhs)
+        report = run_full_report()
         assert report.overall == "fail"
         mod_psi = {f"{label} (mod psi)" for label in VERIFIED_BATTERY}
         mod_psi |= {f"(E0{k}+E{k}0)*psi = 0" for k in (1, 2, 3)}
@@ -450,6 +449,70 @@ class TestFullReport:
                    for n in report.failing_names())
 
 
+# A warm report's calls of each operation, stage by stage: mul_words at every
+# import site, Element.__mul__, Element's add family (+, - and negation, as
+# one), the tree walk exprparse.evaluate with its recursion, Matrix.__mul__
+# and Matrix.__eq__.  The realist reading is all_assignments, constraint_flags
+# and peres_counts; what no stage runs is building psi.
+OPERATIONS = ("mul_words", "element.mul", "element.add", "evaluate", "matrix.mul", "matrix.eq")
+WARM_REPORT_OPERATIONS = {
+    "verify_combined_elements": (6, 6, 18, 24, 6, 6),
+    "verify_singlet_construction": (116, 20, 77, 97, 20, 10),
+    "verify_singlet_constraints": (24, 6, 24, 24, 6, 6),
+    "verify_product_constraint": (12, 6, 8, 14, 6, 2),
+    "verify_derived_identities": (97, 60, 103, 33, 23, 10),
+    "verify_constraint_family": (450, 90, 180, 360, 90, 45),
+    "fallacy_trace": (11, 5, 23, 22, 5, 7),
+    "verify_resolution": (40, 30, 35, 79, 30, 11),
+    "enumerate_basic_triples": (290, 0, 0, 0, 0, 0),
+    "realist reading": (0, 0, 0, 240, 0, 0),
+    "_word_product_cross_check": (256, 0, 0, 0, 256, 256),
+    "outside the stages": (12, 3, 10, 13, 0, 0),
+}
+
+
+def test_a_warm_report_does_the_pinned_work_in_each_stage(monkeypatch):
+    run_full_report()
+    counts = defaultdict(Counter)
+    stage = ["outside the stages"]
+
+    def counted(op, fn):
+        def wrapper(*args, **kwargs):
+            counts[stage[-1]][op] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("eprkit.")]
+    for op, fn in (("mul_words", pauli.mul_words), ("evaluate", exprparse.evaluate)):
+        for module in modules:
+            for attr in [k for k, v in vars(module).items() if v is fn]:
+                monkeypatch.setattr(module, attr, counted(op, fn))
+    for op, cls, names in (
+            ("element.mul", Element, ("__mul__",)),
+            ("element.add", Element, ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__")),
+            ("matrix.mul", matrices.Matrix, ("__mul__",)),
+            ("matrix.eq", matrices.Matrix, ("__eq__",))):
+        for name in names:
+            monkeypatch.setattr(cls, name, counted(op, vars(cls)[name]))
+    stages = {name: (name,) for name in WARM_REPORT_OPERATIONS if hasattr(epr, name)}
+    stages["realist reading"] = ("all_assignments", "constraint_flags", "peres_counts")
+    for name, functions in stages.items():
+        for fn in functions:
+            monkeypatch.setattr(epr, fn, staged(name, getattr(epr, fn)))
+    assert run_full_report().to_json() == GOLDEN_JSON
+    assert {name: tuple(counts[name][op] for op in OPERATIONS)
+            for name in WARM_REPORT_OPERATIONS} == WARM_REPORT_OPERATIONS
+
+
 def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("the matrix route reached the symbolic layer")
@@ -472,6 +535,23 @@ def test_matrix_route_uses_no_symbolic_arithmetic(monkeypatch):
     for row in rows:
         left, right = epr._programs(row)
         assert approx_equal(left(), right()) == (row.expected == "verified"), row.name
+
+
+def test_epr_evaluates_parsed_sides_and_builds_no_tree():
+    # exprparse owns the tree format: epr parses the claim sides and evaluates
+    # them, and names none of the node types, so it neither builds nor
+    # rewrites a tree.  A name is checked wherever it occurs, as an attribute
+    # too, so neither BinOp(...) nor exprparse.Sym(...) gets past.
+    tree = ast.parse(Path(epr.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "exprparse"
+                for alias in node.names}
+    assert imported == {"Expr", "evaluate", "parse_expr", "to_element"}
+    nodes = {t.__name__ for t in get_args(exprparse.Expr)} - {"Scalar"}
+    assert nodes == {"BinOp", "Neg", "Sym"}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert named & nodes == set()
 
 
 def test_the_hot_paths_leave_no_cyclic_garbage():
