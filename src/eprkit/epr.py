@@ -9,8 +9,9 @@ psi; the fallacy trace exists precisely because conflating the two kinds
 silently turns a true singlet-sector statement into a false strict one.
 Two interpreters decide each row, each reading a mod-psi claim as the
 strict claim ``(lhs)*psi = (rhs)*psi`` for itself: the exact symbolic layer,
-which evaluates each parsed side (:func:`~eprkit.exprparse.to_element`) and
-takes the residual of the two values in :func:`_residual`, and the exact
+which evaluates each parsed side (:func:`~eprkit.exprparse.to_element`),
+compares the two values in :func:`_residual` and builds their residual
+only where they differ, and the exact
 matrix oracle (:func:`~eprkit.matrices.expr_program`, with its own psi),
 which reads the text of that claim with its own reader and shares neither
 the parser, the tree walk nor the arithmetic of the first.  Both decide by
@@ -25,8 +26,9 @@ value: each report evaluates the sides against its own psi and runs the
 programs afresh.
 
 The ``closure:`` checks decide the battery without psi, by rewriting each
-difference with the singlet constraints at the right end of its words
-(``Eab = Ea0*E0b -> -Ea0*Eb0``) and asking whether anything is left.
+side with the singlet constraints at the right end of its words
+(``Eab = Ea0*E0b -> -Ea0*Eb0``) and asking whether the two rewrites differ;
+the rewrite is linear, so their residual is that of the difference.
 
 Checks that are *supposed* to fail (the fallacy's conclusion, the strict
 readings of sector-only constraints) are first-class: the suite asserts
@@ -223,11 +225,24 @@ def _outcome(row: Claim, residual: Element, oracle_equal: bool) -> IdentityCheck
         "verified" if verified else "refuted", len(residual.terms), oracle_equal == verified))
 
 
+def _difference(lhs: Element, rhs: Element) -> Element:
+    """``lhs - rhs``, subtracted only when the two values differ.
+
+    Equal elements have a zero difference, so equality only short-cuts the
+    zero case: a pair that differs is still decided by its residual.
+    """
+    return Element.zero(lhs.arity) if lhs == rhs else lhs - rhs
+
+
 def _residual(kind: str, lhs: Element, rhs: Element, psi: Element | None) -> Element:
-    """The residual of ``lhs = rhs``; a mod-psi claim reads ``(lhs)*psi = (rhs)*psi``."""
+    """The residual of ``lhs = rhs``; a mod-psi claim reads ``(lhs)*psi = (rhs)*psi``.
+
+    The two values the claim equates are compared first, and subtracted
+    only where they differ (:func:`_difference`).
+    """
     if kind == "mod-psi":
-        return lhs * psi - rhs * psi
-    return lhs - rhs
+        lhs, rhs = lhs * psi, rhs * psi
+    return _difference(lhs, rhs)
 
 
 # The oracle's program of each claim text, read once per process; only the
@@ -278,7 +293,8 @@ def _run(stage: str, psi: Element | None = None) -> list[IdentityCheck]:
         oracle_equal = approx_equal(rec.left(), rec.right())
         checks.append(_outcome(row, _residual(row.kind, lhs, rhs, psi), oracle_equal))
         if rec.closure is not None:
-            checks.append(_outcome(rec.closure, _constraint_remainder(lhs - rhs), oracle_equal))
+            remainder = _difference(_constraint_remainder(lhs), _constraint_remainder(rhs))
+            checks.append(_outcome(rec.closure, remainder, oracle_equal))
     return checks
 
 
@@ -342,8 +358,9 @@ def verify_derived_identities(s: SingletState) -> list[IdentityCheck]:
     """The singlet-sector identity battery, each claim twice over.
 
     Once as a mod-psi check (does the difference annihilate psi?) and once
-    as a closure check: does rewriting the plain difference with the
-    constraints (:func:`_constraint_remainder`) leave nothing?  The second
+    as a closure check: do the two sides rewritten with the constraints
+    (:func:`_constraint_remainder`) agree?  The rewrite is linear, so this
+    asks whether the plain difference rewrites to nothing.  The second
     never multiplies by psi; its oracle is the first one's.  A test pins that
     the rewrite kills every word * generator product and leaves a rank-4
     remainder of the 16 words, so its kernel is exactly the twelve-dimensional

@@ -356,6 +356,28 @@ class TestFullReport:
         checks = by_name(report.checks)
         assert all(checks[n].status == "refuted" and not checks[n].oracle_ok for n in mod_psi)
 
+    @pytest.mark.parametrize("equal", [False, True])
+    def test_element_equality_is_a_shortcut_never_the_judge(self, monkeypatch, equal):
+        # The exact route compares a claim's two values before it subtracts.
+        # Equality that never holds sends every pair to its residual and moves
+        # no byte; equality that always holds refutes no claim, so exactly the
+        # checks expected to be refuted fail, each against its oracle.
+        run_full_report()
+        monkeypatch.setattr(Element, "__eq__", lambda self, other: equal)
+        report = run_full_report()
+        if not equal:
+            assert report.to_json() == GOLDEN_JSON
+            return
+        assert report.overall == "fail"
+        assert report.failing_names() == [
+            "E01*E20 = -E10*E02 (strict)", "E01+E10 = 0 (strict)", "E02+E20 = 0 (strict)",
+            "E03+E30 = 0 (strict)", "E12 = E21 (mod psi)", "closure: E12 = E21",
+            "fallacy: E02 = -E20 (strict substitution)",
+            "fallacy: E10 = -E01 (strict substitution)", "fallacy: E12 = E21 (mod psi)",
+            "fallacy: E12 = E21 (strict)"]
+        checks = by_name(report.checks)
+        assert all(not checks[n].oracle_ok for n in report.failing_names())
+
     def test_i_read_as_minus_i_moves_the_exact_route_alone(self, monkeypatch):
         # A fault in the parser's reading of a claim: the oracle reads the text
         # itself, so it disagrees with every check whose verdict the fault moves.
@@ -451,23 +473,26 @@ class TestFullReport:
 
 # A warm report's calls of each operation, stage by stage: mul_words at every
 # import site, Element.__mul__, Element's add family (+, - and negation, as
-# one), the tree walk exprparse.evaluate with its recursion, Matrix.__mul__
-# and Matrix.__eq__.  The realist reading is all_assignments, constraint_flags
-# and peres_counts; what no stage runs is building psi.
-OPERATIONS = ("mul_words", "element.mul", "element.add", "evaluate", "matrix.mul", "matrix.eq")
+# one), the tree walk exprparse.evaluate with its recursion, Matrix.__mul__,
+# Matrix.__eq__, Element.__eq__, commute_sign at every import site, and
+# Matrix.__add__, Matrix.__neg__ and Matrix.__sub__.  The realist reading is
+# all_assignments, constraint_flags and peres_counts; what no stage runs is
+# building psi.
+OPERATIONS = ("mul_words", "element.mul", "element.add", "evaluate", "matrix.mul", "matrix.eq",
+              "element.eq", "commute_sign", "matrix.add", "matrix.neg", "matrix.sub")
 WARM_REPORT_OPERATIONS = {
-    "verify_combined_elements": (6, 6, 18, 24, 6, 6),
-    "verify_singlet_construction": (116, 20, 77, 97, 20, 10),
-    "verify_singlet_constraints": (24, 6, 24, 24, 6, 6),
-    "verify_product_constraint": (12, 6, 8, 14, 6, 2),
-    "verify_derived_identities": (97, 60, 103, 33, 23, 10),
-    "verify_constraint_family": (450, 90, 180, 360, 90, 45),
-    "fallacy_trace": (11, 5, 23, 22, 5, 7),
-    "verify_resolution": (40, 30, 35, 79, 30, 11),
-    "enumerate_basic_triples": (290, 0, 0, 0, 0, 0),
-    "realist reading": (0, 0, 0, 240, 0, 0),
-    "_word_product_cross_check": (256, 0, 0, 0, 256, 256),
-    "outside the stages": (12, 3, 10, 13, 0, 0),
+    "verify_combined_elements": (6, 6, 0, 24, 6, 6, 6, 0, 0, 0, 0),
+    "verify_singlet_construction": (116, 20, 47, 97, 20, 10, 10, 0, 15, 20, 12),
+    "verify_singlet_constraints": (24, 6, 15, 24, 6, 6, 6, 0, 6, 0, 0),
+    "verify_product_constraint": (12, 6, 5, 14, 6, 2, 2, 0, 0, 2, 0),
+    "verify_derived_identities": (97, 60, 49, 33, 23, 10, 20, 0, 0, 7, 0),
+    "verify_constraint_family": (450, 90, 45, 360, 90, 45, 45, 0, 45, 0, 0),
+    "fallacy_trace": (11, 5, 14, 22, 5, 7, 7, 0, 0, 2, 0),
+    "verify_resolution": (40, 30, 2, 79, 30, 11, 11, 0, 0, 9, 0),
+    "enumerate_basic_triples": (290, 0, 0, 0, 0, 0, 0, 105, 0, 0, 0),
+    "realist reading": (0, 0, 0, 240, 0, 0, 0, 0, 0, 0, 0),
+    "_word_product_cross_check": (256, 0, 0, 0, 256, 256, 0, 0, 0, 0, 0),
+    "outside the stages": (12, 3, 10, 13, 0, 0, 0, 0, 0, 0, 0),
 }
 
 
@@ -492,7 +517,8 @@ def test_a_warm_report_does_the_pinned_work_in_each_stage(monkeypatch):
         return wrapper
 
     modules = [m for name, m in sys.modules.items() if name.startswith("eprkit.")]
-    for op, fn in (("mul_words", pauli.mul_words), ("evaluate", exprparse.evaluate)):
+    for op, fn in (("mul_words", pauli.mul_words), ("evaluate", exprparse.evaluate),
+                   ("commute_sign", pauli.commute_sign)):
         for module in modules:
             for attr in [k for k, v in vars(module).items() if v is fn]:
                 monkeypatch.setattr(module, attr, counted(op, fn))
@@ -500,7 +526,11 @@ def test_a_warm_report_does_the_pinned_work_in_each_stage(monkeypatch):
             ("element.mul", Element, ("__mul__",)),
             ("element.add", Element, ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__")),
             ("matrix.mul", matrices.Matrix, ("__mul__",)),
-            ("matrix.eq", matrices.Matrix, ("__eq__",))):
+            ("matrix.eq", matrices.Matrix, ("__eq__",)),
+            ("element.eq", Element, ("__eq__",)),
+            ("matrix.add", matrices.Matrix, ("__add__",)),
+            ("matrix.neg", matrices.Matrix, ("__neg__",)),
+            ("matrix.sub", matrices.Matrix, ("__sub__",))):
         for name in names:
             monkeypatch.setattr(cls, name, counted(op, vars(cls)[name]))
     stages = {name: (name,) for name in WARM_REPORT_OPERATIONS if hasattr(epr, name)}
