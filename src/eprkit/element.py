@@ -1,22 +1,19 @@
 """Exact linear combinations of Pauli words over Gaussian rationals.
 
-Every identity the suite decides reduces to "is this element literally
-zero?", so no floating arithmetic ever enters this module.  An element
-stores Gaussian-integer numerators ``(re, im)`` per word over one positive
-denominator shared by all its terms, and is kept in canonical form (no zero
-terms, and no factor common to the denominator and every numerator), which
-makes equality plain structural equality.  The gcd pass runs only where a
-sum has a word on both sides or a product has several terms.  Leaves,
-products with a unit factor and sums of distinct words cannot reduce and are
-stored as built; a one-word product takes the gcd of its single pair, and
-a scalar operand of a product scales the numerators with one gcd and
-multiplies no words.
+Every identity the suite decides reduces to "is this element zero?", so no
+floating arithmetic ever enters this module.  An element stores
+Gaussian-integer numerators ``(re, im)`` per word over one positive
+denominator shared by all its terms, and keeps one invariant: no stored pair
+is ``(0, 0)``, so an element is zero exactly when it stores no term.  A sum
+is taken over the lcm of the two denominators and a product over their
+product; a pair that cancels is dropped where it arises, and no result is
+reduced to lowest terms.  Equality compares values across denominators.
 Words carry no order; they are listed in lexicographic order wherever terms
 are read.  An element is built from words and then arithmetic.
 :class:`Scalar` is the public single-value type, stored like one term: a
 Gaussian-integer pair over a positive denominator, in lowest terms.  Its
 arithmetic is integer arithmetic with one gcd per result, and coefficients
-are built as scalars when read.
+are built as scalars, reduced, when read.
 """
 
 from __future__ import annotations
@@ -212,13 +209,14 @@ IM = Scalar(0, 1)
 
 
 class Element:
-    """A finite linear combination of equal-length words in canonical form.
+    """A finite linear combination of equal-length words.
 
     Stored as Gaussian-integer numerators ``(re, im)`` per word over one
     positive denominator shared by the whole element.  No stored pair is
-    ``(0, 0)`` and the denominator and all numerators have no common factor,
-    so two elements are equal exactly when their arity, denominator and
-    numerators are.  :attr:`terms` lists the words in lexicographic order.
+    ``(0, 0)``, so two equal elements store the same words; the denominator
+    is whatever the arithmetic built, and equality compares values across
+    denominators.  :attr:`terms` lists the words in lexicographic order,
+    each coefficient in lowest terms.
 
     An element is built from words (:meth:`from_word`, :meth:`scalar`,
     :meth:`one`, :meth:`zero`, :func:`E`, :func:`e`) and then arithmetic.
@@ -231,7 +229,7 @@ class Element:
 
     @classmethod
     def _new(cls, arity: int, den: int, num: dict[PauliWord, tuple[int, int]]) -> "Element":
-        """An element from parts already in canonical form."""
+        """An element from parts that store no ``(0, 0)`` pair."""
         el = object.__new__(cls)
         el._arity, el._den, el._num = arity, den, num
         return el
@@ -257,7 +255,7 @@ class Element:
 
         Every element but zero starts here and grows by arithmetic.  A
         scalar is stored as one term already is, so its parts become the
-        term as they are: no gcd pass.
+        term as they are.
         """
         s = coeff if type(coeff) is Scalar else Scalar._coerce(coeff)
         if s is None:
@@ -279,6 +277,8 @@ class Element:
         return not self._num
 
     def coefficient(self, word: PauliWord) -> Scalar:
+        if word.arity != self._arity:
+            raise ArityMismatchError(f"arities differ: {self._arity} vs {word.arity}")
         return self.terms.get(word, ZERO)
 
     def _coerce_operand(self, other: object) -> "Element | None":
@@ -293,12 +293,7 @@ class Element:
         return Element.scalar(s, self._arity)
 
     def __add__(self, other: object) -> "Element":
-        """The sum over the lcm of the two denominators.
-
-        Only a word met on both sides can cancel or leave a common factor
-        (Henrici's rule for adding fractions), so a sum of distinct words is
-        stored as built and the gcd pass runs only after a collision.
-        """
+        """The sum over the lcm of the two denominators; a cancelled pair is dropped."""
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
@@ -309,19 +304,18 @@ class Element:
         else:
             acc = {w: (re * fa, im * fa) for w, (re, im) in self._num.items()}
         get = acc.get
-        summed = False
         for w, (re, im) in o._num.items():
+            re, im = re * fb, im * fb
             old = get(w)
             if old is None:
-                acc[w] = (re * fb, im * fb)
+                acc[w] = (re, im)
             else:
-                acc[w] = (old[0] + re * fb, old[1] + im * fb)
-                summed = True
-        if not summed:
-            # No word met on both sides: nothing cancels, and since each side
-            # was reduced, every prime of the lcm misses some scaled numerator.
-            return Element._new(self._arity, self._den * fa, acc)
-        return Element._new(self._arity, *_canonical(self._den * fa, acc))
+                re, im = old[0] + re, old[1] + im
+                if re or im:
+                    acc[w] = (re, im)
+                else:
+                    del acc[w]
+        return Element._new(self._arity, self._den * fa, acc)
 
     __radd__ = __add__
 
@@ -343,38 +337,27 @@ class Element:
 
     def __mul__(self, other: object) -> "Element":
         if not isinstance(other, Element):
-            # A scalar scales every numerator: one gcd and no word product.
-            # Gaussian integers have no zero divisors, so no pair becomes (0, 0).
+            # A scalar scales every numerator and multiplies no word.  Gaussian
+            # integers have no zero divisors, so no pair becomes (0, 0).
             s = other if type(other) is Scalar else Scalar._coerce(other)
             if s is None:
                 return NotImplemented
             sr, si = s._re, s._im
             if not (sr or si):
                 return Element._new(self._arity, 1, {})
-            num = {w: (ar * sr - ai * si, ar * si + ai * sr)
-                   for w, (ar, ai) in self._num.items()}
-            den = self._den * s._den
-            if den != 1:
-                g = gcd(den, *(x for pair in num.values() for x in pair))
-                if g != 1:
-                    den, num = den // g, {w: (re // g, im // g) for w, (re, im) in num.items()}
-            return Element._new(self._arity, den, num)
+            return Element._new(self._arity, self._den * s._den,
+                                {w: (ar * sr - ai * si, ar * si + ai * sr)
+                                 for w, (ar, ai) in self._num.items()})
         if other._arity != self._arity:
             raise ArityMismatchError(f"arities differ: {self._arity} vs {other._arity}")
         den = self._den * other._den
         if len(self._num) == 1 == len(other._num):
-            # One word product.  Two nonzero Gaussian integers give a nonzero
-            # pair, and over denominator 1 no gcd comes out: it is canonical.
+            # One word product: two nonzero Gaussian integers give a nonzero pair.
             [(wa, (ar, ai))], [(wb, (br, bi))] = self._num.items(), other._num.items()
             k, w = mul_words(wa, wb)
             re, im = ar * br - ai * bi, ar * bi + ai * br
             if k:
                 re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-            if den == 1:
-                return Element._new(self._arity, 1, {w: (re, im)})
-            g = gcd(den, re, im)
-            if g != 1:
-                den, re, im = den // g, re // g, im // g
             return Element._new(self._arity, den, {w: (re, im)})
         acc: dict[PauliWord, tuple[int, int]] = {}
         get = acc.get
@@ -386,11 +369,15 @@ class Element:
                 if k:  # times i**k
                     re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
                 old = get(w)
-                acc[w] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        if ((self._den, *self._num.values()) in _UNITS
-                or (other._den, *other._num.values()) in _UNITS):
-            return Element._new(self._arity, den, acc)
-        return Element._new(self._arity, *_canonical(den, acc))
+                if old is None:
+                    acc[w] = (re, im)
+                else:
+                    re, im = old[0] + re, old[1] + im
+                    if re or im:
+                        acc[w] = (re, im)
+                    else:
+                        del acc[w]
+        return Element._new(self._arity, den, acc)
 
     def __rmul__(self, other: object) -> "Element":
         # Only a scalar reaches this, and a scalar commutes with every element,
@@ -408,18 +395,33 @@ class Element:
         return self * (ONE / s)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Element):
-            return (self._arity == other._arity and self._den == other._den
-                    and self._num == other._num)
-        s = Scalar._coerce(other)
-        if s is None:
-            return NotImplemented
-        return self == Element.scalar(s, self._arity)
+        if not isinstance(other, Element):
+            s = Scalar._coerce(other)
+            if s is None:
+                return NotImplemented
+            other = Element.scalar(s, self._arity)
+        if self._arity != other._arity:
+            return False
+        da, db = self._den, other._den
+        if da == db:
+            return self._num == other._num
+        # a/da == b/db exactly when a*db == b*da, part by part.
+        b = other._num
+        if self._num.keys() != b.keys():
+            return False
+        for w, (re, im) in self._num.items():
+            b_re, b_im = b[w]
+            if re * db != b_re * da or im * db != b_im * da:
+                return False
+        return True
 
     def __hash__(self) -> int:
         if self._num.keys() <= {PauliWord.identity(self._arity)}:
             return hash(self.trace_normalized())  # equal to its scalar, so hash alike
-        return hash((self._arity, self._den, frozenset(self._num.items())))
+        # Equal elements differ at most by a common factor: hash the reduced parts.
+        g = gcd(self._den, *(x for pair in self._num.values() for x in pair))
+        return hash((self._arity, self._den // g,
+                     frozenset((w, (re // g, im // g)) for w, (re, im) in self._num.items())))
 
     def trace_normalized(self) -> Scalar:
         """Coefficient of the identity word, i.e. trace divided by 2**arity."""
@@ -434,27 +436,8 @@ class Element:
         return f"<Element {self}>"
 
 
-# ``(den, pair)`` of a unit ``i**u * word``.  A product with a unit maps words
-# one to one and leaves every gcd as it was, so it is already canonical.
-_UNITS = {(1, (1, 0)), (1, (0, 1)), (1, (-1, 0)), (1, (0, -1))}
-
-
-def _canonical(den: int, num: dict[PauliWord, tuple[int, int]]
-               ) -> tuple[int, dict[PauliWord, tuple[int, int]]]:
-    """Zero pairs pruned and one gcd taken out of everything; words keep no order.
-
-    Run only on results that can reduce: a sum with a word on both sides, or
-    a product of several terms with no unit factor.
-    """
-    num = {w: pair for w, pair in num.items() if pair != (0, 0)}
-    g = gcd(den, *(x for pair in num.values() for x in pair))
-    if g == 1:
-        return den, num
-    return den // g, {w: (re // g, im // g) for w, (re, im) in num.items()}
-
-
 class _Terms(Mapping):
-    """Read-only word -> Scalar view in word order; coefficients are built when read."""
+    """Read-only word -> Scalar view in word order; each coefficient is reduced when read."""
 
     __slots__ = ("_den", "_num")
 

@@ -65,6 +65,7 @@ class TestVerify:
         checks = json.loads(out)["checks"]
         code, md, md_err = run_cli(capsys, "verify", "--inject-fault", "--format", "md")
         assert (code, md_err) == (1, err)
+        assert md == (GOLDEN / "report-fault.md").read_text(encoding="utf-8")
         rows = [line[2:-2].split(" | ") for line in md.splitlines()
                 if line.startswith("| ") and not line.startswith(("| check |", "| --- |"))]
         assert [row[0] for row in rows] == [c["name"] for c in checks]
@@ -190,6 +191,15 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "(E11+1)*psi")
         assert code == 0
         assert out.strip() == "0"
+
+    def test_a_900_factor_product_of_a_projector_prints_reduced(self):
+        # The stored denominator reaches 2**900, since no product is reduced;
+        # the printed coefficients are.  A fresh process, so that the tree
+        # walk's frame per factor starts from the bottom of the stack.
+        text = "*".join(["(1/2+1/2*E11)"] * 900)
+        result = subprocess.run([sys.executable, "-m", "eprkit", "eval", text],
+                                capture_output=True, text=True, check=False)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1/2 + 1/2*E11\n", "")
 
 
 class TestErrorPaths:

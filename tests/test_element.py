@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, _canonical, e
+from eprkit.element import ArityMismatchError, E, Element, IM, ONE, Scalar, ZERO, e
 from eprkit.exprparse import parse_expr, to_element
 from eprkit.matrices import approx_equal, element_matrix
 from eprkit.pauli import PauliWord, commute_sign, mul_words
@@ -99,6 +99,12 @@ class TestElementBasics:
             e(1) + E(0, 1)
         with pytest.raises(ArityMismatchError):
             e(1) * E(0, 1)
+
+    def test_a_coefficient_of_a_word_of_another_arity_is_refused(self):
+        with pytest.raises(ArityMismatchError, match="^arities differ: 2 vs 1$"):
+            E(0, 1).coefficient(PauliWord((1,)))
+        with pytest.raises(ArityMismatchError, match="^arities differ: 1 vs 2$"):
+            e(0).coefficient(PauliWord((0, 0)))
 
     def test_scalar_coercion_uses_identity_word(self):
         assert E(1, 1) - 1 == E(1, 1) - Element.one(2)
@@ -209,7 +215,7 @@ scalars = st.builds(
 )
 
 # i**u times one word: a product with one of these maps the other factor's words
-# one to one and keeps its gcd, so it is canonical without a second pass.
+# one to one and keeps the denominator and gcd it had.
 unit_words = st.builds(Element.from_word, st.sampled_from(WORDS2), st.sampled_from(PHASES))
 
 
@@ -406,9 +412,20 @@ def test_unary_and_scalar_operations_match_the_reference(a, s):
         assert terms_of(a / s) == ref_map(ta, lambda c: c / s)
 
 
-def rebuilt(el):
-    """``el``'s parts passed once more through ``_canonical``."""
-    return Element._new(el.arity, *_canonical(el._den, dict(el._num)))
+# --- the stored invariant -----------------------------------------------------
+# An element's stored form is canonical in one sense only: no stored pair is
+# (0, 0) and the denominator is positive.  The denominator is whatever the
+# arithmetic built, not the lowest one, and equality and hashing read values,
+# not stored parts.
+
+def assert_stores_no_zero_pair(el):
+    assert el._den > 0 and (0, 0) not in el._num.values()
+
+
+def assert_stored_canonical(result, reference):
+    assert_stores_no_zero_pair(result)
+    assert terms_of(result) == reference
+    assert result.is_zero == (not reference)
 
 
 # One word times a Gaussian rational whose parts share factors with their
@@ -418,31 +435,74 @@ HALF_ONE_PLUS_I_E01 = Element.from_word(PauliWord((0, 1)), Scalar(Fraction(1, 2)
 
 
 @given(one_term_elements, one_term_elements)
-@example(HALF_ONE_PLUS_I_E01, HALF_ONE_PLUS_I_E01)  # i/2: a gcd of 2 comes out
-@example(2 * E(0, 1), E(0, 1) / 2)  # 1: the denominator 2 goes
+@example(HALF_ONE_PLUS_I_E01, HALF_ONE_PLUS_I_E01)  # i/2, stored as 2i/4
+@example(2 * E(0, 1), E(0, 1) / 2)  # 1, stored over 2
 @example(2 * E(0, 1), 3 * E(1, 2))  # denominator 1, kept as built
 def test_a_one_term_product_is_stored_canonical(a, b):
     for x, y in [(a, b), (b, a)]:
-        product = x * y
-        assert rebuilt(product) == product
-        assert terms_of(product) == ref_mul(x.terms, y.terms)
+        assert_stored_canonical(x * y, ref_mul(x.terms, y.terms))
     assert element_matrix(a * b) == element_matrix(a) * element_matrix(b)
 
 
-
-@given(wide_elements, wide_elements, st.sampled_from(WORDS2), wide_scalars)
+# A product's collisions are sums too: its words meet in the product loop.
+@given(st.one_of(wide_elements, one_term_elements), st.one_of(wide_elements, one_term_elements),
+       st.sampled_from(WORDS2), wide_scalars)
 @example(E(0, 1) / 6, E(0, 2) / 10, PauliWord((0, 1)), ONE)  # distinct words, lcm 30
-@example(E(0, 1) / 2, E(0, 1) / 2, PauliWord((0, 1)), ONE)  # a - b is zero over 1
-@example(E(0, 1) / 4, E(0, 1) / 4, PauliWord((0, 1)), ONE)  # a + b is E01/2
+@example(E(0, 1) / 2, E(0, 1) / 2, PauliWord((0, 1)), ONE)  # a - b cancels its one pair
+@example(E(0, 1) / 4, E(0, 1) / 4, PauliWord((0, 1)), ONE)  # a + b is E01/2, stored as 2/4
 @example(E(0, 1) / 6, E(0, 2) / 3, PauliWord((0, 1)), ONE)  # b's denominator divides a's
 @example(E(0, 1), E(0, 2), PauliWord((1, 2)), ZERO)  # the zero scalar
+@example(E(0, 1) + E(1, 0), E(0, 1) - E(1, 0), PauliWord((0, 1)), ONE)  # E11 twice, cancelled
 def test_every_sum_is_stored_canonical(a, b, w, s):
     ta, tb = a.terms, b.terms
     for result, reference in [(a + b, ref_add(ta, tb)), (a - b, ref_add(ta, tb, -1)),
+                              (a * b, ref_mul(ta, tb)), (b * a, ref_mul(tb, ta)),
+                              (a * s, ref_map(ta, lambda c: c * s)),
                               (Element.from_word(w, s), _ref_canonical({w: s})),
                               (Element.scalar(s, 2), _ref_canonical({PauliWord((0, 0)): s}))]:
-        assert rebuilt(result) == result
-        assert terms_of(result) == reference
+        assert_stored_canonical(result, reference)
+
+
+def over(k):
+    """``1`` stored over the denominator ``k``: a product that nothing reduces."""
+    return Element.scalar(k, 2) * Element.scalar(Fraction(1, k), 2)
+
+
+@given(wide_elements, wide_elements, st.integers(2, 12), st.sampled_from(["same", "other"]))
+@example(E(0, 1) / 2, E(0, 1), 2, "same")
+@example(E(0, 1) / 2, E(0, 1) / 4, 2, "other")  # same words, parts off by a factor
+@example(E(0, 1) + E(0, 2), E(0, 1) + E(0, 3), 3, "other")  # different words
+def test_equality_across_denominators_is_equality_of_values(a, b, k, which):
+    x, y = a, (a if which == "same" else b) * over(k)
+    if x._den == y._den:
+        x = x * over(k + 1)
+    assert x._den != y._den
+    equal = element_matrix(x) == element_matrix(y)
+    assert (x == y) == (y == x) == equal
+    assert (x != y) == (not equal)
+    if equal:
+        assert hash(x) == hash(y)
+
+
+PROJECTOR = (1 + E(1, 1)) / 2
+
+
+# A product is stored over the product of its factors' denominators, and read
+# in lowest terms: 2**900 never reaches the printer.
+@pytest.mark.parametrize("factors, values, den, printed", [
+    ([2 * E(0, 1), Fraction(1, 2) * E(0, 1)], [Element.one(2), 1], 2, "1"),
+    ([PROJECTOR] * 900, [PROJECTOR], 2 ** 900, "1/2 + 1/2*E11"),
+], ids=["one over two", "projector to the 900th"])
+def test_a_product_is_stored_unreduced_and_read_reduced(factors, values, den, printed):
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    assert product._den == den
+    for value in values:
+        assert product == value and value == product
+        assert hash(product) == hash(value)
+    assert terms_of(product) == terms_of(values[0])
+    assert str(product) == printed
 
 
 # Each branch of the printed term: unit coefficients, a coefficient that reduces
@@ -470,7 +530,7 @@ def test_printing_builds_no_negated_scalar(monkeypatch):
 
 # --- a scalar factor --------------------------------------------------------
 # A scalar operand scales the numerators; the general path multiplies by that
-# multiple of the identity word.  Both must store the same canonical element.
+# multiple of the identity word.  Both must give the same element.
 
 WORDS1 = [PauliWord((k,)) for k in range(4)]
 one_and_two_site_elements = st.one_of(
@@ -482,28 +542,22 @@ scalar_operands = st.one_of(st.just(0), st.just(ZERO), st.integers(-10**6, 10**6
                             wide_rationals, wide_scalars)
 
 
-def assert_canonical(el):
-    pairs = list(el._num.values())
-    assert (0, 0) not in pairs
-    assert el._den > 0 and gcd(el._den, *(x for pair in pairs for x in pair)) == 1
-
-
 @given(one_and_two_site_elements, scalar_operands)
 @example(E(0, 1) / 2, 0)  # the zero scalar: nothing over 1
 @example(Element.zero(1), Fraction(2, 3))
-@example(HALF_ONE_PLUS_I_E01, Scalar(1, -1))  # (1+i)/2 * (1-i) = 1: the denominator goes
+@example(HALF_ONE_PLUS_I_E01, Scalar(1, -1))  # (1+i)/2 * (1-i) = 1, stored as 2/2
 @example(e(1) / 6 + e(2) / 4, 12)
 def test_a_scalar_operand_scales_the_numerators(x, s):
     general = x * Element.scalar(s, x.arity)
     for product in (x * s, s * x):
         assert product == general
         assert hash(product) == hash(general)
-        assert_canonical(product)
+        assert_stores_no_zero_pair(product)
     if s:
         quotient, general = x / s, x * Element.scalar(ONE / s, x.arity)
         assert quotient == x * (ONE / s) == general
         assert hash(quotient) == hash(general)
-        assert_canonical(quotient)
+        assert_stores_no_zero_pair(quotient)
 
 
 def test_a_scalar_operand_multiplies_no_words(monkeypatch):
