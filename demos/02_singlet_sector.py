@@ -23,7 +23,7 @@ print("\n-psi as a matrix: P*P == P is", p * p == p, "  trace(P) =", p.trace()[0
 
 # Mod-psi equality: equal after right-multiplication by psi.  The one-side
 # words are anticorrelated on the sector but NOT equal as elements.
-print("\nE01 = -E10 mod psi?", s.equal_mod_psi(E(0, 1), -E(1, 0)))
+print("\nE01 = -E10 mod psi?", E(0, 1) * s.psi == -E(1, 0) * s.psi)
 print("E01 + E10 as an element:", E(0, 1) + E(1, 0), "  (nonzero!)")
 
 # Exact expectations and both probability conventions.

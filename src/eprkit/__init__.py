@@ -11,6 +11,9 @@ scriptable commands.
 Importing the package loads none of its modules: each public name is looked
 up in its home module on first use (PEP 562), so ``from eprkit import E``
 loads ``pauli`` and ``element`` and nothing else.
+
+The package lists the names the demos, the README quick start and perfbench
+take from it, and the exceptions those raise; import any other from its home.
 """
 
 import importlib
@@ -18,21 +21,15 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "element": ("E", "Element", "IM", "ONE", "PrintLimitError", "Scalar", "ZERO", "e"),
-    "epr": ("FallacyReport", "FallacyStep", "IdentityCheck", "VerificationReport",
-            "all_assignments", "classical_assignment_search", "constraint_flags",
-            "fallacy_trace", "run_full_report",
-            "verify_combined_elements", "verify_constraint_family",
-            "verify_derived_identities", "verify_product_constraint", "verify_resolution",
-            "verify_singlet_constraints", "verify_singlet_construction"),
+    "element": ("E", "Element", "PrintLimitError"),
+    "epr": ("classical_assignment_search", "constraint_flags", "fallacy_trace",
+            "run_full_report"),
     "exprparse": ("ArityConflictError", "ExprError", "ExprSyntaxError", "RangeError",
                   "parse_expr", "to_element"),
     "matrices": ("DimensionMismatchError", "approx_equal", "element_matrix", "word_matrix"),
-    "pauli": ("ArityMismatchError", "PauliWord", "commute_sign", "compose_letters",
-              "mul_words"),
-    "singlet": ("NotAnInvolutionError", "SingletState", "build_singlet"),
-    "triples": ("BasicTriple", "DiffReport", "PAPER_BASIC_SETS", "build_incidence",
-                "diff_with_paper_list", "enumerate_basic_triples", "nontrivial_words"),
+    "pauli": ("ArityMismatchError", "PauliWord", "compose_letters", "mul_words"),
+    "singlet": ("NotAnInvolutionError", "build_singlet"),
+    "triples": ("build_incidence", "diff_with_paper_list", "enumerate_basic_triples"),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 

@@ -7,13 +7,14 @@ denominator shared by all its terms, and keeps one invariant: no stored pair
 is ``(0, 0)``, so an element is zero exactly when it stores no term.  A sum
 is taken over the lcm of the two denominators and a product over their
 product; a pair that cancels is dropped where it arises, and no result is
-reduced to lowest terms.  Equality compares values across denominators.
-Words carry no order; they are listed in lexicographic order wherever terms
-are read.  An element is built from words and then arithmetic.
-:class:`Scalar` is the public single-value type, stored like one term: a
-Gaussian-integer pair over a positive denominator, in lowest terms.  Its
-arithmetic is integer arithmetic with one gcd per result, and coefficients
-are built as scalars, reduced, when read.
+reduced to lowest terms but a product whose denominator passes 64 bits.
+Equality compares values across denominators.  Words carry no order; they
+are listed in lexicographic order wherever terms are read.  An element is
+built from words and then arithmetic.  :class:`Scalar` is the public
+single-value type, stored like one term: a Gaussian-integer pair over a
+positive denominator, in lowest terms.  Its arithmetic is integer arithmetic
+with one gcd per result, and coefficients are built as scalars, reduced,
+when read.
 """
 
 from __future__ import annotations
@@ -345,39 +346,45 @@ class Element:
             sr, si = s._re, s._im
             if not (sr or si):
                 return Element._new(self._arity, 1, {})
-            return Element._new(self._arity, self._den * s._den,
-                                {w: (ar * sr - ai * si, ar * si + ai * sr)
-                                 for w, (ar, ai) in self._num.items()})
-        if other._arity != self._arity:
+            den = self._den * s._den
+            num = {w: (ar * sr - ai * si, ar * si + ai * sr) for w, (ar, ai) in self._num.items()}
+        elif other._arity != self._arity:
             raise ArityMismatchError(f"arities differ: {self._arity} vs {other._arity}")
-        den = self._den * other._den
-        if len(self._num) == 1 == len(other._num):
+        elif len(self._num) == 1 == len(other._num):
             # One word product: two nonzero Gaussian integers give a nonzero pair.
+            den = self._den * other._den
             [(wa, (ar, ai))], [(wb, (br, bi))] = self._num.items(), other._num.items()
             k, w = mul_words(wa, wb)
             re, im = ar * br - ai * bi, ar * bi + ai * br
             if k:
                 re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-            return Element._new(self._arity, den, {w: (re, im)})
-        acc: dict[PauliWord, tuple[int, int]] = {}
-        get = acc.get
-        right = other._num.items()
-        for wa, (ar, ai) in self._num.items():
-            for wb, (br, bi) in right:
-                k, w = mul_words(wa, wb)
-                re, im = ar * br - ai * bi, ar * bi + ai * br
-                if k:  # times i**k
-                    re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
-                old = get(w)
-                if old is None:
-                    acc[w] = (re, im)
-                else:
-                    re, im = old[0] + re, old[1] + im
-                    if re or im:
-                        acc[w] = (re, im)
+            num = {w: (re, im)}
+        else:
+            den = self._den * other._den
+            num = {}
+            get = num.get
+            right = other._num.items()
+            for wa, (ar, ai) in self._num.items():
+                for wb, (br, bi) in right:
+                    k, w = mul_words(wa, wb)
+                    re, im = ar * br - ai * bi, ar * bi + ai * br
+                    if k:  # times i**k
+                        re, im = (-im, re) if k == 1 else (-re, -im) if k == 2 else (im, -re)
+                    old = get(w)
+                    if old is None:
+                        num[w] = (re, im)
                     else:
-                        del acc[w]
-        return Element._new(self._arity, den, acc)
+                        re, im = old[0] + re, old[1] + im
+                        if re or im:
+                            num[w] = (re, im)
+                        else:
+                            del num[w]
+        if den >> 64:  # a long product: divide out the gcd, so its size stays bounded
+            g = gcd(den, *(part for pair in num.values() for part in pair))
+            den //= g
+            for w, (re, im) in num.items():  # in place: a comprehension makes g a cell
+                num[w] = (re // g, im // g)
+        return Element._new(self._arity, den, num)
 
     def __rmul__(self, other: object) -> "Element":
         # Only a scalar reaches this, and a scalar commutes with every element,

@@ -470,10 +470,6 @@ class FallacyReport(NamedTuple):
     steps: list[FallacyStep]
     clash_with: str
 
-    @property
-    def invalid_steps(self) -> list[FallacyStep]:
-        return [s for s in self.steps if not s.legitimate]
-
     def checks(self) -> list[IdentityCheck]:
         return [s.check for s in self.steps]
 

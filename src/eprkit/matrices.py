@@ -12,13 +12,14 @@ reads a claim's text itself, with its own token check and name table
 moves that route alone.  Even ``psi`` is this module's own product of
 letter matrices, taken from no caller.  Entries are exact Gaussian
 rationals, so two matrices agree exactly when they are equal.  A matrix
-keeps one invariant, that it stores no zero entry; its denominator is never
-reduced.  The product and the sum test whether a column is already stored:
-a new entry is stored as it is (a product of two nonzero Gaussian integers,
-or a nonzero addend), and a term that meets a stored entry is added to it,
-the entry dropped if the sum is zero.  Over one denominator ``==`` compares
-the rows; across two it walks them once, checking the same columns and
-cross-multiplied parts, and returns at the first difference.
+keeps one invariant, that it stores no zero entry; only a product whose
+denominator passes 64 bits is reduced.  The product and the sum test whether
+a column is already stored: a new entry is stored as it is (a product of two
+nonzero Gaussian integers, or a nonzero addend), and a term that meets a
+stored entry is added to it, the entry dropped if the sum is zero.  Over one
+denominator ``==`` compares the rows; across two it walks them once,
+checking the same columns and cross-multiplied parts, and returns at the
+first difference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "ReadError",
     "approx_equal",
     "element_matrix",
-    "expr_matrix",
     "expr_program",
     "word_matrix",
 ]
@@ -175,8 +175,15 @@ class Matrix:
                     else:  # a cancelled entry goes; a later term stores it anew
                         del acc[c]
             rows.append(acc)
+        den = self._den * other._den
+        if den >> 64:  # a long product: divide out the gcd, so its size stays bounded
+            g = gcd(den, *(part for row in rows for pair in row.values() for part in pair))
+            den //= g
+            for row in rows:  # in place: a comprehension makes g a cell
+                for c, (re, im) in row.items():
+                    row[c] = (re // g, im // g)
         m = object.__new__(Matrix)  # as _new builds it, without the classmethod call
-        m._dim, m._den, m._rows = self._dim, self._den * other._den, tuple(rows)
+        m._dim, m._den, m._rows = self._dim, den, tuple(rows)
         return m
 
     def times_i(self, k: int) -> "Matrix":
@@ -266,15 +273,6 @@ def element_matrix(elem) -> Matrix:
     for w, c in elem.terms.items():
         out += Matrix._scalar(dim, *c.parts) * word_matrix(w)
     return out
-
-
-def expr_matrix(text: str) -> Matrix:
-    """The matrix of ``text``: :func:`expr_program` read afresh and run once.
-
-    No element or scalar arithmetic and no tree of the exact route's parser
-    is involved, so the result is an independent check on ``to_element``.
-    """
-    return expr_program(text)()
 
 
 @cache

@@ -7,7 +7,10 @@ projector, and the sign is kept as constructed rather than repaired, with
 the honest projector ``-psi`` exposed alongside.  Mod-psi equality means
 equality after right-multiplication by psi, i.e. on the singlet sector
 only; conflating it with strict equality is exactly the error the fallacy
-trace in :mod:`eprkit.epr` pins down.
+trace in :mod:`eprkit.epr` pins down.  Its decider is
+:func:`eprkit.epr._residual`; elsewhere it is plain ``a*psi == b*psi``.
+The two probability rules serve ``eprkit expect`` alone and are kept on
+purpose: they are the paper's two bookkeeping rules, printed side by side.
 """
 
 from __future__ import annotations
@@ -46,10 +49,6 @@ class SingletState:
     def __init__(self, psi: Element):
         self.psi = psi
         self.projector = -psi
-
-    def equal_mod_psi(self, a: Element, b: Element) -> bool:
-        """True when ``(a - b) * psi`` vanishes exactly."""
-        return ((a - b) * self.psi).is_zero
 
     def expectation(self, a: Element) -> Scalar:
         """Exact mean value tr(P a) / tr(P) against the projector P = -psi.

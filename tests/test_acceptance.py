@@ -127,8 +127,8 @@ def test_criterion_5_identity_battery_and_fallacy():
         assert not (E(1, 2) - E(2, 1)).is_zero
         assert not ((E(1, 2) - E(2, 1)) * s.psi).is_zero
         trace = fallacy_trace(s)
-        flagged = [st for st in trace.invalid_steps
-                   if "substitute" in st.description]
+        flagged = [st for st in trace.steps
+                   if not st.legitimate and "substitute" in st.description]
         assert len(flagged) == 2
         for step in flagged:
             assert step.check.status == "refuted"

@@ -1,11 +1,12 @@
-"""Every demo script runs to completion in-process."""
+"""Every demo script runs in-process and prints exactly its golden output."""
 
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_four_demos_are_found():
@@ -16,7 +17,8 @@ def test_all_four_demos_are_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
-    assert out
+    golden = ROOT / "tests" / "golden" / f"demo-{path.name[:2]}.txt"
+    assert out == golden.read_text(encoding="utf-8")
     if path.name.startswith("04_"):
         assert out.endswith("full verification: 108 checks, overall PASS\n")
         # The four tables that satisfy only the pair constraints, printed by word name.

@@ -488,10 +488,12 @@ PROJECTOR = (1 + E(1, 1)) / 2
 
 
 # A product is stored over the product of its factors' denominators, and read
-# in lowest terms: 2**900 never reaches the printer.
+# in lowest terms.  Only a denominator past 64 bits is divided by the gcd of
+# the parts: the projector's powers store 2**k until 2**64 falls back to 2, so
+# 900 factors leave 2**18 (2**(1 + 836 % 63)), not 2**900.
 @pytest.mark.parametrize("factors, values, den, printed", [
     ([2 * E(0, 1), Fraction(1, 2) * E(0, 1)], [Element.one(2), 1], 2, "1"),
-    ([PROJECTOR] * 900, [PROJECTOR], 2 ** 900, "1/2 + 1/2*E11"),
+    ([PROJECTOR] * 900, [PROJECTOR], 2 ** 18, "1/2 + 1/2*E11"),
 ], ids=["one over two", "projector to the 900th"])
 def test_a_product_is_stored_unreduced_and_read_reduced(factors, values, den, printed):
     product = factors[0]
@@ -503,6 +505,22 @@ def test_a_product_is_stored_unreduced_and_read_reduced(factors, values, den, pr
         assert hash(product) == hash(value)
     assert terms_of(product) == terms_of(values[0])
     assert str(product) == printed
+
+
+# 10**4 factors that leave the start's value, through each branch of the
+# product: the stored denominator stays within the 64-bit bound and the
+# factors' own bits.
+@pytest.mark.parametrize("start, factors", [
+    (PROJECTOR, [PROJECTOR]),
+    (E(0, 1), [Fraction(2, 3) * E(0, 1), Fraction(3, 2) * E(0, 1)]),
+    (PROJECTOR, [Fraction(2, 3), Fraction(3, 2)]),
+], ids=["sum by sum", "word by word", "sum by scalar"])
+def test_a_long_product_stores_a_bounded_denominator(start, factors):
+    product = start
+    for k in range(10 ** 4):
+        product = product * factors[k % len(factors)]
+        assert product._den.bit_length() <= 65
+    assert product == start and str(product) == str(start)
 
 
 # Each branch of the printed term: unit coefficients, a coefficient that reduces

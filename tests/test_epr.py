@@ -200,7 +200,7 @@ class TestFallacyTrace:
 
     def test_substitution_steps_are_flagged_invalid(self, singlet):
         report = fallacy_trace(singlet)
-        invalid = report.invalid_steps
+        invalid = [s for s in report.steps if not s.legitimate]
         substitutions = [s for s in invalid if "substitute" in s.description]
         assert len(substitutions) == 2
         for step in substitutions:
@@ -595,7 +595,7 @@ def test_the_hot_paths_leave_no_cyclic_garbage():
     try:
         for work in (lambda: run_full_report().to_json(),
                      lambda: exprparse.to_element(parse_expr(text)),
-                     lambda: matrices.expr_matrix(text),
+                     lambda: matrices.expr_program(text)(),
                      lambda: constraint_flags(table)):
             work()
             assert gc.collect() == 0
@@ -604,7 +604,7 @@ def test_the_hot_paths_leave_no_cyclic_garbage():
 
 
 def test_numeric_psi_route_matches_symbolic_psi(singlet):
-    numeric = matrices.expr_matrix("psi")
+    numeric = matrices.expr_program("psi")()
     assert approx_equal(numeric, element_matrix(singlet.psi))
     with pytest.raises(TypeError):
         numeric[0, 0] = 0

@@ -20,7 +20,7 @@ from eprkit.exprparse import (
     parse_expr,
     to_element,
 )
-from eprkit.matrices import ReadError, element_matrix, expr_matrix
+from eprkit.matrices import ReadError, element_matrix, expr_program
 from eprkit.pauli import PREFIXES, SCALAR_ARITY, ArityMismatchError, PauliWord
 
 # Every word the grammar names, by pauli's prefix table: a prefix, then one
@@ -320,7 +320,7 @@ class TestArity:
     @staticmethod
     def arity(text, singlet):
         arity = to_element(parse_expr(text), psi=singlet.psi).arity
-        assert expr_matrix(text).dim == 2 ** arity
+        assert expr_program(text)().dim == 2 ** arity
         return arity
 
     def test_two_site_symbols(self, singlet):
@@ -430,7 +430,7 @@ class TestEvaluation:
         # 266 times E01*E02*E03 = i, which is -1, then E01*E02 = i*E03.
         expected = -IM * E(0, 3)
         assert to_element(parse_expr(text)) == expected
-        assert expr_matrix(text) == element_matrix(expected)
+        assert expr_program(text)() == element_matrix(expected)
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)
@@ -455,7 +455,7 @@ class TestEvaluation:
         with pytest.raises(ExprSyntaxError, match="unknown (symbol|operator)"):
             to_element(tree)
         with pytest.raises(ReadError):
-            expr_matrix(text)
+            expr_program(text)()
 
     def test_a_plain_tuple_is_no_node_on_either_route(self):
         # It equals the BinOp of the same fields, but only the node types evaluate.
@@ -467,7 +467,7 @@ class TestEvaluation:
         # The oracle reads text alone: no tree, a parsed one included, is its input.
         for tree in (fake, parse_expr("E01*E02"), None):
             with pytest.raises(TypeError, match="^the oracle reads text, got "):
-                expr_matrix(tree)
+                expr_program(tree)()
 
     def test_negation_sum_and_difference_agree_on_both_routes(self, singlet):
         cases = {
@@ -481,7 +481,7 @@ class TestEvaluation:
         }
         for text, expected in cases.items():
             assert to_element(parse_expr(text), psi=singlet.psi) == expected, text
-            assert expr_matrix(text) == element_matrix(expected), text
+            assert expr_program(text)() == element_matrix(expected), text
 
     def test_printed_elements_reparse_to_the_same_element(self, singlet):
         samples = [

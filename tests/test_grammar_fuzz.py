@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eprkit.cli import main
 from eprkit.element import Scalar
 from eprkit.exprparse import BinOp, ExprError, Neg, Sym, _Parser, parse_expr, to_element
-from eprkit.matrices import ReadError, element_matrix, expr_matrix
+from eprkit.matrices import ReadError, element_matrix, expr_program
 from eprkit.singlet import build_singlet
 
 # The recursive-descent parser and the tree walks recurse once per nesting
@@ -104,13 +104,13 @@ def test_eval_prints_a_reparsing_element_or_names_the_error(text):
         assert kind in ERRORS, err
         if kind != "PrintLimitError":  # the text does not parse
             with pytest.raises(ReadError):
-                expr_matrix(text)
+                expr_program(text)()
         return
     assert code == 0 and err == "", (code, err)
     el = to_element(parse_expr(text), psi=PSI)
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert to_element(parse_expr(out[:-1])) == el
-    assert element_matrix(el) == expr_matrix(text)
+    assert element_matrix(el) == expr_program(text)()
 
 
 

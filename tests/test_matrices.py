@@ -19,7 +19,7 @@ from eprkit.matrices import (
     ReadError,
     approx_equal,
     element_matrix,
-    expr_matrix,
+    expr_program,
     word_matrix,
 )
 from eprkit.pauli import PauliWord, mul_words
@@ -301,7 +301,7 @@ def test_the_zero_scalar_is_built_empty(dim, texts):
     assert zero == Matrix.scalar(dim, Fraction(0), 0) == Matrix._scalar(dim, 7, 0, 0)
     assert Matrix._scalar(dim, 7, 0, 0)._rows == zero._rows  # empty over any denominator
     for text in texts:
-        m = expr_matrix(text)
+        m = expr_program(text)()
         assert m == zero and m._rows == zero._rows
 
 
@@ -326,7 +326,7 @@ class TestElementMatrix:
     def test_singlet_matrices_are_hermitian(self, singlet):
         # eigenvalues() reads one triangle only, so it cannot see this.
         for m in (element_matrix(singlet.psi), element_matrix(singlet.projector),
-                  matrices.expr_matrix("psi")):
+                  matrices.expr_program("psi")()):
             for r, c in itertools.product(range(m.dim), repeat=2):
                 re, im = m.entry(c, r)
                 assert m.entry(r, c) == (re, -im), (r, c)
@@ -402,7 +402,7 @@ def test_the_oracle_reads_without_python_s_compiler():
     pytest.param("(" * 250 + "E01" + ")" * 250, id="250-nested"),
 ])
 def test_the_oracle_reads_what_the_parser_reads(text, singlet):
-    assert expr_matrix(text) == element_matrix(to_element(parse_expr(text), psi=singlet.psi))
+    assert expr_program(text)() == element_matrix(to_element(parse_expr(text), psi=singlet.psi))
 
 
 def test_a_unary_minus_negates_the_one_factor_after_it(monkeypatch):
@@ -410,9 +410,9 @@ def test_a_unary_minus_negates_the_one_factor_after_it(monkeypatch):
     # unary '-' took; an affine stand-in for it does: -a*b is (a+1)*b, not ab+1.
     monkeypatch.setattr(Matrix, "__neg__", lambda m: m + Matrix.scalar(m.dim))
     one = Matrix.scalar(4)
-    assert expr_matrix("-E01*E02") == (E01_MATRIX + one) * E02_MATRIX
-    assert expr_matrix("E01*-E02*E01") == E01_MATRIX * (E02_MATRIX + one) * E01_MATRIX
-    assert expr_matrix("-(E01*E02)") == E01_MATRIX * E02_MATRIX + one
+    assert expr_program("-E01*E02")() == (E01_MATRIX + one) * E02_MATRIX
+    assert expr_program("E01*-E02*E01")() == E01_MATRIX * (E02_MATRIX + one) * E01_MATRIX
+    assert expr_program("-(E01*E02)")() == E01_MATRIX * E02_MATRIX + one
 
 
 def test_the_two_readers_agree_on_every_short_text(singlet):
@@ -473,7 +473,7 @@ def test_the_agreement_script_exits_1_on_a_disagreement(monkeypatch, capsys):
 ])
 def test_the_oracle_refuses_what_the_grammar_does_not_read(text, message):
     with pytest.raises(ReadError) as info:
-        expr_matrix(text)
+        expr_program(text)()
     assert str(info.value).startswith(message)
 
 
@@ -500,11 +500,21 @@ def test_the_oracle_reads_or_refuses_any_depth(shape, n):
         matrices.expr_program(build(n) + ")")
 
 
+def test_a_long_product_stores_a_bounded_denominator():
+    # A product's denominator past 64 bits is divided by the gcd of its parts,
+    # so 10**4 projector factors, read and run by the oracle, leave at most
+    # 65 bits, not 10**4.
+    projector = Matrix.scalar(4, Fraction(1, 2)) * (Matrix.scalar(4) + word_matrix((1, 1)))
+    product = matrices.expr_program("*".join(["(1/2+1/2*E11)"] * 10 ** 4))()
+    assert product._den.bit_length() <= 65
+    assert product == projector
+
+
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
 def test_the_two_readers_agree_at_depth_100(shape, singlet):
     build, value = DEEP_SHAPES[shape]
     text = build(100)
-    assert element_matrix(to_element(parse_expr(text), psi=singlet.psi)) == expr_matrix(text) == value(100)
+    assert element_matrix(to_element(parse_expr(text), psi=singlet.psi)) == expr_program(text)() == value(100)
 
 
 @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
