@@ -229,17 +229,10 @@ class Element:
     __slots__ = ("_arity", "_den", "_num")
 
     @classmethod
-    def _new(cls, arity: int, den: int, num: dict[PauliWord, tuple[int, int]]) -> "Element":
-        """An element from parts that store no ``(0, 0)`` pair."""
-        el = object.__new__(cls)
-        el._arity, el._den, el._num = arity, den, num
-        return el
-
-    @classmethod
     def zero(cls, arity: int) -> "Element":
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        return cls._new(arity, 1, {})
+        return _element(arity, 1, {})
 
     @classmethod
     def one(cls, arity: int) -> "Element":
@@ -262,8 +255,8 @@ class Element:
         if s is None:
             raise TypeError(f"coefficient {coeff!r} is not scalar-like")
         if not (s._re or s._im):
-            return cls._new(word.arity, 1, {})
-        return cls._new(word.arity, s._den, {word: (s._re, s._im)})
+            return _element(word.arity, 1, {})
+        return _element(word.arity, s._den, {word: (s._re, s._im)})
 
     @property
     def arity(self) -> int:
@@ -300,10 +293,10 @@ class Element:
             return NotImplemented
         g = gcd(self._den, o._den)
         fa, fb = o._den // g, self._den // g  # bring both to the lcm
-        if fa == 1:
-            acc = dict(self._num)
-        else:
-            acc = {w: (re * fa, im * fa) for w, (re, im) in self._num.items()}
+        acc = dict(self._num)
+        if fa != 1:  # in place: a comprehension makes fa a cell
+            for w, (re, im) in acc.items():
+                acc[w] = (re * fa, im * fa)
         get = acc.get
         for w, (re, im) in o._num.items():
             re, im = re * fb, im * fb
@@ -316,7 +309,7 @@ class Element:
                     acc[w] = (re, im)
                 else:
                     del acc[w]
-        return Element._new(self._arity, self._den * fa, acc)
+        return _element(self._arity, self._den * fa, acc)
 
     __radd__ = __add__
 
@@ -333,8 +326,8 @@ class Element:
         return o - self
 
     def __neg__(self) -> "Element":
-        return Element._new(self._arity, self._den,
-                            {w: (-re, -im) for w, (re, im) in self._num.items()})
+        return _element(self._arity, self._den,
+                        {w: (-re, -im) for w, (re, im) in self._num.items()})
 
     def __mul__(self, other: object) -> "Element":
         if not isinstance(other, Element):
@@ -345,9 +338,11 @@ class Element:
                 return NotImplemented
             sr, si = s._re, s._im
             if not (sr or si):
-                return Element._new(self._arity, 1, {})
+                return _element(self._arity, 1, {})
             den = self._den * s._den
-            num = {w: (ar * sr - ai * si, ar * si + ai * sr) for w, (ar, ai) in self._num.items()}
+            num = {}
+            for w, (ar, ai) in self._num.items():  # a loop: a comprehension makes sr, si cells
+                num[w] = (ar * sr - ai * si, ar * si + ai * sr)
         elif other._arity != self._arity:
             raise ArityMismatchError(f"arities differ: {self._arity} vs {other._arity}")
         elif len(self._num) == 1 == len(other._num):
@@ -384,7 +379,9 @@ class Element:
             den //= g
             for w, (re, im) in num.items():  # in place: a comprehension makes g a cell
                 num[w] = (re // g, im // g)
-        return Element._new(self._arity, den, num)
+        el = object.__new__(Element)  # as _element builds it, without the call
+        el._arity, el._den, el._num = self._arity, den, num
+        return el
 
     def __rmul__(self, other: object) -> "Element":
         # Only a scalar reaches this, and a scalar commutes with every element,
@@ -441,6 +438,13 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<Element {self}>"
+
+
+def _element(arity: int, den: int, num: dict[PauliWord, tuple[int, int]]) -> Element:
+    """An element from parts that store no ``(0, 0)`` pair, kept as they are."""
+    el = object.__new__(Element)
+    el._arity, el._den, el._num = arity, den, num
+    return el
 
 
 class _Terms(Mapping):

@@ -133,7 +133,10 @@ class Matrix:
         fa, fb = other._den // g, self._den // g  # bring both to the lcm
         rows = []
         for ra, rb in zip(self._rows, other._rows):
-            acc = dict(ra) if fa == 1 else {c: (re * fa, im * fa) for c, (re, im) in ra.items()}
+            acc = dict(ra)
+            if fa != 1:  # in place: a comprehension makes fa a cell
+                for c, (re, im) in acc.items():
+                    acc[c] = (re * fa, im * fa)
             for c, (re, im) in rb.items():
                 if c not in acc:  # nonzero, stored as it is
                     acc[c] = (re * fb, im * fb)

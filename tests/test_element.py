@@ -589,3 +589,46 @@ def test_a_scalar_operand_multiplies_no_words(monkeypatch):
         assert terms_of(product) == expected
     assert terms_of(x / 2) == [(w, c / 2) for w, c in x.terms.items()]
     assert (x * 0).is_zero and (0 * x).is_zero
+
+
+# --- operands and per-call cost -----------------------------------------------
+# Every result is built in a dict of its own: a sum copies its left operand's
+# terms and rescales the copy, a product fills a new dict.  A slip that wrote
+# into an operand would corrupt an element shared by later callers, such as
+# the parser's one element per word name.
+
+def parts(el):
+    """An element's arity, denominator and a copy of its terms, to compare later."""
+    return el._arity, el._den, dict(el._num)
+
+
+SIXTHS = E(0, 1) / 2 + E(1, 2) / 3
+
+
+@given(wide_elements, wide_elements, scalar_operands)
+@example(SIXTHS, E(1, 2) / 4 - E(2, 3) / 10, Fraction(2, 3))  # both sides rescaled to the lcm
+@example(SIXTHS, SIXTHS, Scalar(Fraction(1, 5), -1))  # one object on both sides: all cancels
+@example(SIXTHS, -SIXTHS, 0)  # every pair cancels; the zero scalar
+def test_no_operator_changes_its_operands(a, b, s):
+    before = parts(a), parts(b)
+    results = {"a + b": lambda: a + b, "a - b": lambda: a - b, "b - a": lambda: b - a,
+               "a * b": lambda: a * b, "a * s": lambda: a * s, "s * a": lambda: s * a,
+               "-a": lambda: -a}
+    if s:
+        results["a / s"] = lambda: a / s
+    for name, result in results.items():
+        result()
+        assert (parts(a), parts(b)) == before, name
+
+
+@pytest.mark.parametrize("operator", [Element.__mul__, Element.__add__],
+                         ids=["mul", "add"])
+def test_an_arithmetic_operator_makes_no_closure_cell(operator):
+    """No local is a cell, so a call creates none.
+
+    On Python 3.10 and 3.11 a comprehension is a nested function, and a local
+    it reads becomes a cell that every call of the operator creates, whichever
+    branch it takes.  From 3.12 comprehensions are inlined (PEP 709), and this
+    test passes either way.
+    """
+    assert operator.__code__.co_cellvars == ()

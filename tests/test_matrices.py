@@ -260,6 +260,40 @@ def test_no_result_stores_a_zero_entry(a, b, k, re, im):
         assert (x == y) == (y == x) == (vx == vy)
 
 
+def parts(m):
+    """A matrix's dimension, denominator and a copy of each row, to compare later."""
+    return m._dim, m._den, [dict(row) for row in m._rows]
+
+
+# Over denominators 2 and 3, so a sum rescales both operands' rows to the lcm.
+HALF_E01_THIRD_E02 = HALF_E01 + Matrix.scalar(4, Fraction(1, 3)) * E02_MATRIX
+
+
+@given(any_matrices, any_matrices)
+@example(HALF_E01_THIRD_E02, Matrix.scalar(4, Fraction(1, 4)) * E20_MATRIX)
+@example(HALF_E01_THIRD_E02, HALF_E01_THIRD_E02)  # one object on both sides
+@example(ONE_PLUS_E01, -ONE_PLUS_E01)  # every entry of the sum cancels
+def test_no_operator_changes_its_operands(a, b):
+    before = parts(a), parts(b)
+    results = {"a + b": lambda: a + b, "a - b": lambda: a - b, "b - a": lambda: b - a,
+               "a * b": lambda: a * b, "b * a": lambda: b * a, "-a": lambda: -a}
+    for name, result in results.items():
+        result()
+        assert (parts(a), parts(b)) == before, name
+
+
+@pytest.mark.parametrize("operator", [Matrix.__mul__, Matrix.__add__], ids=["mul", "add"])
+def test_an_arithmetic_operator_makes_no_closure_cell(operator):
+    """No local is a cell, so a call creates none.
+
+    On Python 3.10 and 3.11 a comprehension is a nested function, and a local
+    it reads becomes a cell that every call of the operator creates, whichever
+    branch it takes.  From 3.12 comprehensions are inlined (PEP 709), and this
+    test passes either way.
+    """
+    assert operator.__code__.co_cellvars == ()
+
+
 def test_equality_compares_values_across_denominators():
     # Entries summed to zero, denominators sharing a factor, the zero scalar.
     zero = ONE_PLUS_E01 * ONE_MINUS_E01
