@@ -32,7 +32,8 @@ the rewrite is linear, so their residual is that of the difference.
 
 Checks that are *supposed* to fail (the fallacy's conclusion, the strict
 readings of sector-only constraints) are first-class: the suite asserts
-refutation, not merely absence of verification.
+refutation, not merely absence of verification.  The report's JSON is the
+standard encoder's bytes; only a check is written from a template of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, _make_iterencode, encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from .element import E, Element
@@ -442,6 +443,9 @@ def classical_assignment_search(
     With all three constraint rows active the result is empty: the first
     two force the cross products equal while the third forces them opposite.
     """
+    if isinstance(constraints, str):
+        raise TypeError(f"constraints must be an iterable of names, not the str {constraints!r}")
+    constraints = tuple(constraints)
     for c in constraints:
         if c not in CONSTRAINT_NAMES:
             raise ValueError(f"unknown constraint {c!r}")
@@ -490,6 +494,15 @@ def fallacy_trace(s: SingletState) -> FallacyReport:
 
 # --- report assembly ----------------------------------------------------------
 
+# The standard library's writer of json.dumps(value, indent=2), made once: json.dumps
+# remakes it per call as closures in a cycle.  A report holds no cycle and no float.
+_indented = _make_iterencode(None, JSONEncoder().default, encode_basestring_ascii, "  ",
+                             float.__repr__, ": ", ",", False, False, False)
+# A check as json.dumps(report.to_dict(), indent=2) writes it, a %s per field.
+_CHECK = "\n    {" + ",".join(f"\n      {encode_basestring_ascii(field)}: %s"
+                          for field in IdentityCheck._fields) + "\n    }"
+
+
 class VerificationReport(NamedTuple):
     """Aggregated outcome of the whole suite, canonically serializable."""
 
@@ -508,8 +521,17 @@ class VerificationReport(NamedTuple):
         return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``."""
-        return _json(self._asdict()) + "\n"
+        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``: a check
+        fills :data:`_CHECK`, its five text fields sent to the string encoder,
+        and any other field goes through the standard library's own writer of
+        ``json.dumps(value, indent=2)``, one level in (:data:`_indented`)."""
+        checks = ",".join([_CHECK % (*map(encode_basestring_ascii, check[:5]),
+                                     int.__repr__(check[5]), "true" if check[6] else "false")
+                           for check in self.checks])
+        fields = [f'\n  "{key}": ' + ("[" + checks + "\n  ]" if key == "checks" and checks
+                                      else "".join(_indented(value, 1)))
+                  for key, value in self._asdict().items()]
+        return "{" + ",".join(fields) + "\n}\n"
 
     def to_markdown(self) -> str:
         def sets(key: str) -> str:
@@ -558,49 +580,6 @@ class VerificationReport(NamedTuple):
         lines += [f"- {n}" for n in self.notes]
         lines.append("")
         return "\n".join(lines)
-
-
-@cache
-def _check_template(indent: str) -> str:
-    """The JSON object of an :class:`IdentityCheck` at ``indent``, a ``%s`` per field."""
-    inner = indent + "  "
-    return "{" + ",".join(f"{inner}{encode_basestring_ascii(field)}: %s"
-                          for field in IdentityCheck._fields) + indent + "}"
-
-
-def _json(value, indent: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it.
-
-    Only the types a report holds are written: dicts with str keys, lists,
-    str, int and bool, and an :class:`IdentityCheck` as the dict of its
-    fields; any other type raises TypeError.  A check's five text fields go
-    straight to the string encoder, which refuses any other type; its count
-    and verdict take the branches above.
-    """
-    t = type(value)
-    if t is str:
-        return encode_basestring_ascii(value)
-    if t is bool:
-        return "true" if value else "false"
-    if t is int:
-        return int.__repr__(value)
-    if t is IdentityCheck:
-        name, ref, kind, expected, status, terms, ok = value
-        return _check_template(indent) % (
-            encode_basestring_ascii(name), encode_basestring_ascii(ref),
-            encode_basestring_ascii(kind), encode_basestring_ascii(expected),
-            encode_basestring_ascii(status), _json(terms), _json(ok))
-    inner = indent + "  "
-    if t is list:
-        items, ends = [_json(v, inner) for v in value], "[]"
-    elif t is dict:  # a key that is not a str raises TypeError in the encoder
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        ends = "{}"
-    else:
-        raise TypeError(f"a report holds no {t.__name__}: {value!r}")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 _REPORT_NOTES = [

@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, formats, determinism, goldens."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,23 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, command, f"{BIG}*{BIG}*{word}")
         assert code == 2 and out == ""
         assert err == "PrintLimitError: a coefficient of 6001 digits is too long to print\n"
+
+
+def test_the_readme_shell_examples_print_what_the_readme_shows(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []  # each (argv, the lines shown under it)
+    for block in section.split("```sh\n")[1:]:
+        shown = None
+        for line in block.split("```", 1)[0].splitlines():
+            if line.startswith("$ "):
+                shown = []
+                examples.append((shlex.split(line[2:]), shown))
+            elif shown is not None:
+                shown.append(line)
+    assert examples and all(argv[0] == "eprkit" for argv, _ in examples)
+    for (_, *argv), shown in examples:
+        assert run_cli(capsys, *argv) == (0, "".join(f"{line}\n" for line in shown), "")
 
 
 def test_module_entry_point_runs():

@@ -106,6 +106,15 @@ class TestClassicalSearch:
         with pytest.raises(ValueError):
             classical_assignment_search(("opposite_z",))
 
+    def test_an_iterator_is_read_once(self):
+        names = ("opposite_x", "opposite_y")
+        assert classical_assignment_search(iter(names)) == classical_assignment_search(names)
+        assert len(classical_assignment_search(iter(names))) == 4
+
+    def test_a_bare_name_is_refused_not_read_letter_by_letter(self):
+        with pytest.raises(TypeError, match="'opposite_x'"):
+            classical_assignment_search("opposite_x")
+
     def test_flags_on_a_specific_assignment(self):
         table = {PauliWord((0, 1)): 1, PauliWord((1, 0)): -1,
                  PauliWord((0, 2)): 1, PauliWord((2, 0)): -1}
@@ -610,45 +619,39 @@ def test_numeric_psi_route_matches_symbolic_psi(singlet):
         numeric[0, 0] = 0
 
 
-# Text with the characters an encoder must escape, and ints past 64 bits.
+# Text with the characters an encoder must escape.
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f')),
                     max_size=6)
-json_values = st.recursive(
-    st.one_of(json_text, st.booleans(), st.integers(),
-              st.integers(10 ** 20, 10 ** 30), st.integers(-(10 ** 30), -(10 ** 20))),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
-    max_leaves=20)
+# Reports of the shape a report has, with such text in every text field and
+# ints past 64 bits.
+reports = st.builds(
+    epr.VerificationReport,
+    version=json_text,
+    checks=st.lists(st.builds(epr.IdentityCheck, json_text, json_text, json_text, json_text,
+                              json_text, st.integers(0, 10 ** 30), st.booleans()), max_size=2),
+    triples=st.dictionaries(json_text, st.integers(-(10 ** 30), 10 ** 30)
+                            | st.lists(st.lists(json_text, max_size=2), max_size=2), max_size=2),
+    peres=st.dictionaries(json_text, st.integers(), max_size=2),
+    homomorphism=st.dictionaries(json_text, st.booleans(), max_size=2),
+    notes=st.lists(json_text, max_size=3),
+    overall=json_text)
 
 
-@given(json_values)
-def test_report_writer_matches_the_standard_encoder(value):
-    assert epr._json(value) == json.dumps(value, indent=2)
+@given(reports)
+def test_report_writer_matches_the_standard_encoder(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def test_report_writer_writes_a_check_as_the_dict_of_its_fields():
-    # One template per depth stands for the check's _asdict(), escapes included.
+    # The check template stands for the check's _asdict(), escapes included.
     check = epr.IdentityCheck('a "quoted" \u00e9 name', "ref", "strict", "verified",
                               "refuted", 12, False)
-    for value, as_dicts in ((check, check._asdict()),
-                            ([check], [check._asdict()]),
-                            ({"checks": [check, check]}, {"checks": [check._asdict()] * 2}),
-                            ([{"deeper": [check]}], [{"deeper": [check._asdict()]}])):
-        assert epr._json(value) == json.dumps(as_dicts, indent=2)
+    report = epr.VerificationReport("0", [check], {}, {}, {}, [], "fail")
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+    assert '\n      "name": "a \\"quoted\\" \\u00e9 name",\n' in report.to_json()
     with pytest.raises(TypeError):
-        epr._json(check._replace(residual_terms=1.5))
+        report._replace(checks=[check._replace(residual_terms=1.5)]).to_json()
     for field in ("name", "paper_ref"):
         for wrong in (1, None, b"name", ["name"]):
             with pytest.raises(TypeError):
-                epr._json(check._replace(**{field: wrong}))
-    # The count and the verdict are written by their types, as json.dumps does.
-    for odd in (check._replace(residual_terms=True), check._replace(oracle_ok=1)):
-        assert epr._json(odd) == json.dumps(odd._asdict(), indent=2)
-
-
-def test_report_writer_refuses_what_a_report_does_not_hold():
-    assert epr._json([True, False, 1, 0, [], {}]) == json.dumps([True, False, 1, 0, [], {}],
-                                                               indent=2)
-    assert epr._json({"ok": True}) == '{\n  "ok": true\n}'
-    for value in (0.5, None, [None], {"a": [1.0]}, {(1, 2): 1}, (1, 2)):
-        with pytest.raises(TypeError):
-            epr._json(value)
+                report._replace(checks=[check._replace(**{field: wrong})]).to_json()
