@@ -494,13 +494,17 @@ def fallacy_trace(s: SingletState) -> FallacyReport:
 
 # --- report assembly ----------------------------------------------------------
 
-# The standard library's writer of json.dumps(value, indent=2), made once: json.dumps
-# remakes it per call as closures in a cycle.  A report holds no cycle and no float.
+# json.dumps(value, indent=2)'s own writer, the private json.encoder._make_iterencode, made
+# once: json.dumps remakes it per call in a cycle (test_the_hot_paths_leave_no_cyclic_garbage).
 _indented = _make_iterencode(None, JSONEncoder().default, encode_basestring_ascii, "  ",
                              float.__repr__, ": ", ",", False, False, False)
 # A check as json.dumps(report.to_dict(), indent=2) writes it, a %s per field.
-_CHECK = "\n    {" + ",".join(f"\n      {encode_basestring_ascii(field)}: %s"
-                          for field in IdentityCheck._fields) + "\n    }"
+_CHECK = "\n    {" + ",".join(f'\n      "{f}": %s' for f in IdentityCheck._fields) + "\n    }"
+
+
+def _int_json(value) -> str:
+    """An int or a bool as json.dumps writes it; any other type raises TypeError."""
+    return "true" if value is True else "false" if value is False else int.__repr__(value)
 
 
 class VerificationReport(NamedTuple):
@@ -521,13 +525,12 @@ class VerificationReport(NamedTuple):
         return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``: a check
-        fills :data:`_CHECK`, its five text fields sent to the string encoder,
-        and any other field goes through the standard library's own writer of
-        ``json.dumps(value, indent=2)``, one level in (:data:`_indented`)."""
-        checks = ",".join([_CHECK % (*map(encode_basestring_ascii, check[:5]),
-                                     int.__repr__(check[5]), "true" if check[6] else "false")
-                           for check in self.checks])
+        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\\n"``: each check
+        fills :data:`_CHECK`, every other field goes through :data:`_indented`."""
+        text = encode_basestring_ascii
+        checks = ",".join([_CHECK % (text(name), text(ref), text(kind), text(expected),
+                                     text(status), _int_json(terms), _int_json(ok))
+                           for name, ref, kind, expected, status, terms, ok in self.checks])
         fields = [f'\n  "{key}": ' + ("[" + checks + "\n  ]" if key == "checks" and checks
                                       else "".join(_indented(value, 1)))
                   for key, value in self._asdict().items()]

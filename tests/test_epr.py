@@ -649,9 +649,14 @@ def test_report_writer_writes_a_check_as_the_dict_of_its_fields():
     report = epr.VerificationReport("0", [check], {}, {}, {}, [], "fail")
     assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
     assert '\n      "name": "a \\"quoted\\" \\u00e9 name",\n' in report.to_json()
-    with pytest.raises(TypeError):
-        report._replace(checks=[check._replace(residual_terms=1.5)]).to_json()
-    for field in ("name", "paper_ref"):
-        for wrong in (1, None, b"name", ["name"]):
+    for field, wrongs in (("name", (1, None, b"name", ["name"])),
+                          ("paper_ref", (1, None, b"name", ["name"])),
+                          ("residual_terms", (1.5, None, "12")),
+                          ("oracle_ok", (0.0, None, "false"))):
+        for wrong in wrongs:
             with pytest.raises(TypeError):
                 report._replace(checks=[check._replace(**{field: wrong})]).to_json()
+    # The count and the verdict are written by their types, as json.dumps does.
+    for odd in (check._replace(residual_terms=True), check._replace(oracle_ok=1)):
+        odd_report = report._replace(checks=[odd])
+        assert odd_report.to_json() == json.dumps(odd_report.to_dict(), indent=2) + "\n"
