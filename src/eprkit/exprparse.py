@@ -110,6 +110,9 @@ T = TypeVar("T")
 _TOKEN = re.compile(r"[-+*/()]|[0-9]+|[^\W_]+|\S")
 # The characters a token may start with, besides a letter (str.isalpha).
 _STARTS = frozenset("+-*/()0123456789")
+# A text of these characters alone: every token starts with a letter or a
+# character of _STARTS.
+_PLAIN = re.compile(r"[-+*/() 0-9A-Za-z]*")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -117,14 +120,17 @@ def _tokenize(text: str) -> list[str]:
 
     A token's kind is its first character.  Only a name starts with a letter,
     and a token that starts with anything else outside :data:`_STARTS` is an
-    unexpected character; each distinct first character is checked once.
+    unexpected character.  A text of ASCII letters and digits, ``+-*/()``
+    and spaces alone (:data:`_PLAIN`) has no such token and skips the check;
+    in any other text each distinct first character is checked once.
     """
     tokens = _TOKEN.findall(text)
-    bad = {c for c in {tok[0] for tok in tokens} - _STARTS if not c.isalpha()}
-    if bad:
-        index = next(k for k, tok in enumerate(tokens) if tok[0] in bad)
-        raise ExprSyntaxError(f"unexpected character {tokens[index][0]!r}",
-                              _offset(text, index))
+    if _PLAIN.fullmatch(text) is None:
+        bad = {c for c in {tok[0] for tok in tokens} - _STARTS if not c.isalpha()}
+        if bad:
+            index = next(k for k, tok in enumerate(tokens) if tok[0] in bad)
+            raise ExprSyntaxError(f"unexpected character {tokens[index][0]!r}",
+                                  _offset(text, index))
     tokens.append("")
     return tokens
 
@@ -280,7 +286,7 @@ def parse_expr(text: str) -> Expr:
 # --- evaluation ---------------------------------------------------------------
 
 def evaluate(node: Expr, word: Callable[[tuple[int, ...]], T], psi: T | None = None) -> T:
-    """Fold a tree bottom-up in any algebra, one frame per tree level.
+    """Fold a tree bottom-up in any algebra, one frame per node but a word or literal right operand.
 
     A literal's value is its own :class:`Scalar`, ``word`` gives a symbol's
     letters theirs, and ``psi`` is the value of the ``psi`` symbol.
@@ -288,14 +294,25 @@ def evaluate(node: Expr, word: Callable[[tuple[int, ...]], T], psi: T | None = N
     value must take a scalar operand.  A symbol's letters are read from the
     grammar's table, so ``word`` receives the same tuple for each name and
     may cache on it.
+    A binary node's right operand is read in place when it is a word name
+    or a literal.  Any other right operand (``psi`` too), and every left
+    operand, takes a call of its own: a product of ``n`` factors takes one
+    frame per level of its left spine, ``n`` in all, and a right operand
+    that is not read in place meets the same checks, and raises the same
+    error, as a left one.
     A name or an operator the grammar does not have raises
     :class:`ExprSyntaxError`: only a hand-built tree holds one.
     """
     kind = type(node)  # exact node types only: a plain tuple is no node
     if kind is BinOp:
-        left = evaluate(node.left, word, psi)
-        right = evaluate(node.right, word, psi)
-        op = node.op
+        op, left, right = node
+        left = evaluate(left, word, psi)
+        kind = type(right)
+        if kind is Sym:
+            letters = _LETTERS.get(right.name)
+            right = evaluate(right, word, psi) if letters is None else word(letters)
+        elif kind is not Scalar:
+            right = evaluate(right, word, psi)
         if op == "*":
             return left * right
         if op == "+":

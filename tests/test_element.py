@@ -100,6 +100,11 @@ class TestElementBasics:
         with pytest.raises(ArityMismatchError):
             e(1) * E(0, 1)
 
+    def test_elements_of_different_arities_are_unequal_not_refused(self):
+        assert (E(0, 1) == e(1)) is False
+        assert (E(0, 1) != e(1)) is True
+        assert (e(1) == E(0, 1)) is False
+
     def test_a_coefficient_of_a_word_of_another_arity_is_refused(self):
         with pytest.raises(ArityMismatchError, match="^arities differ: 2 vs 1$"):
             E(0, 1).coefficient(PauliWord((1,)))

@@ -132,6 +132,7 @@ class TestParsing:
 
     def test_whitespace_insignificant(self):
         assert typed(parse_expr(" E01 *  E02 ")) == typed(parse_expr("E01*E02"))
+        assert typed(parse_expr("E01*\tE02\n")) == typed(parse_expr("E01*E02"))
 
 
 def reference_tokens(text):
@@ -236,6 +237,12 @@ class TestParseErrors:
     @given(st.text(TOKEN_ALPHABET, max_size=24))
     @example("E\u216b*\u01c5e1 \x85(2/3)")
     @example("e\u0301")  # a combining mark is no letter: it starts no name
+    # One character past ASCII letters and digits, '+-*/()' and space keeps
+    # the first-character check for the whole text.
+    @example("E01*E02 #")
+    @example("E01\t*E02 #")
+    @example("E01*\u0663")
+    @example("\u00e9")
     def test_tokens_and_offsets_match_the_character_loop(self, text):
         try:
             expected = reference_tokens(text)
@@ -431,6 +438,33 @@ class TestEvaluation:
         expected = -IM * E(0, 3)
         assert to_element(parse_expr(text)) == expected
         assert expr_program(text)() == element_matrix(expected)
+
+    # A word or literal right operand is read in place and any other takes a
+    # call of its own; each kind gives the value it has as a tree of its own.
+    @pytest.mark.parametrize("right, expected", [
+        (Sym("E02"), IM * E(0, 3)),
+        (Scalar(2, -1), Scalar(2, -1) * E(0, 1)),
+        (Neg(Sym("E02")), -IM * E(0, 3)),
+        (BinOp("*", Sym("E02"), Sym("E03")), IM * Element.one(2)),
+    ])
+    def test_a_right_operand_of_each_kind_gives_its_value(self, right, expected):
+        assert to_element(BinOp("*", Sym("E01"), right)) == expected == E(0, 1) * to_element(right)
+
+    def test_psi_as_a_right_operand_is_its_value_when_given(self, singlet):
+        assert to_element(BinOp("*", Sym("E01"), Sym("psi")), psi=singlet.psi) == \
+            E(0, 1) * singlet.psi
+
+    @pytest.mark.parametrize("operand, error, message", [
+        (Sym("psi"), ExprError, "psi is not available in this context"),
+        (Sym("E44"), ExprSyntaxError, "unknown symbol 'E44'"),
+        (3, TypeError, "not an expression node: 3"),
+    ])
+    def test_a_right_operand_raises_what_it_raises_alone_or_on_the_left(self, operand, error,
+                                                                        message):
+        for tree in (operand, BinOp("*", operand, Sym("E01")), BinOp("*", Sym("E01"), operand)):
+            with pytest.raises(error) as info:
+                to_element(tree)
+            assert type(info.value) is error and str(info.value) == message
 
     def test_psi_resolution(self, singlet):
         el = to_element(parse_expr("(E11+1)*psi"), psi=singlet.psi)
